@@ -40,6 +40,29 @@ func certify(p *rentmin.Problem, m *rentmin.CostModel, a rentmin.Allocation, bou
 	return nil
 }
 
+// certifyLive checks what a session answer must also respect beyond the
+// full problem: no machine of an offline type is rented, and no
+// throughput goes through a graph the outage excluded. live lists the
+// graph indices of the session's effective problem, ascending.
+func certifyLive(a rentmin.Allocation, offline, live []int) error {
+	for _, q := range offline {
+		if q < len(a.Machines) && a.Machines[q] != 0 {
+			return fmt.Errorf("rents %d machines of offline type %d", a.Machines[q], q)
+		}
+	}
+	k := 0
+	for j, r := range a.GraphThroughput {
+		if k < len(live) && live[k] == j {
+			k++
+			continue
+		}
+		if r != 0 {
+			return fmt.Errorf("routes %d through graph %d, excluded by an outage", r, j)
+		}
+	}
+	return nil
+}
+
 // agree checks an answer against an independent solve of the same
 // problem: two proven answers must cost the same, and no answer may cost
 // less than the other's proven lower bound.

@@ -52,6 +52,7 @@ var perLayer = []layerMetric{
 	{"server.decode_ms", "ms", aggMedian, "latency_ms_p50 and goodput_rps on service-mix"},
 	{"server.queue_wait_ms_p50", "ms", aggMedian, "goodput_rps on service-mix"},
 	{"server.queue_wait_ms_p99", "ms", aggP99, "goodput_rps on service-mix"},
+	{"server.queued_share", "share", aggRatio, "latency_ms_p50 and goodput_rps on service-mix"},
 	{"server.overhead_ms", "ms", aggMedian, "latency_ms_p50 and goodput_rps on service-mix"},
 	{"server.refused_share", "share", aggRatio, "goodput_rps on service-mix"},
 	{"client.problem_hash_us", "us", aggMedian, "throughput_ops_s on fleet-batch"},

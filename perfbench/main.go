@@ -38,7 +38,7 @@ type workload struct {
 var workloads = []workload{
 	{"paper-sweep", "closed loop, 1 caller", sweepTimeLimit, newPaperSweep},
 	{"deep-tree", fmt.Sprintf("closed loop, 1 caller, %d-node cap", deepNodeLimit), 5 * time.Second, newDeepTree},
-	{"service-mix", fmt.Sprintf("open loop, %d req/s", serviceRate), serviceLimit, newServiceMix},
+	{"service-mix", fmt.Sprintf("open loop, %g req/s", serviceRate), serviceLimit, newServiceMix},
 	{"fleet-batch", "closed loop, 1 caller", fleetBatchLimit, newFleetBatch},
 }
 
@@ -56,6 +56,7 @@ func main() {
 	seconds := flag.Float64("seconds", 10, "how long one run measures")
 	trace := flag.Int("trace", 0, "1: traced run reporting per-layer metrics; 0: end-to-end metrics")
 	spans := flag.String("spans", "", "spans file of a traced run (default .bench_build/perfbench/spans-<workload>-<seed>.json)")
+	saturate := flag.Int("saturate", 0, "N > 0: measure the daemon's capacity for service-mix with N closed-loop callers instead")
 	flag.Parse()
 	if *trace != 0 && *trace != 1 {
 		fmt.Fprintln(os.Stderr, "perfbench: --trace must be 0 or 1")
@@ -72,6 +73,13 @@ func main() {
 		os.Exit(2)
 	}
 	run := time.Duration(*seconds * float64(time.Second))
+	if *saturate > 0 {
+		if err := capacityRun(*seed, run, *saturate); err != nil {
+			fmt.Fprintf(os.Stderr, "perfbench: capacity: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
 	for _, w := range selected {
 		var res result
 		var err error
@@ -204,7 +212,10 @@ func tracedRun(w workload, seed uint64, run time.Duration, spansPath string) (re
 	for _, l := range rec.lag {
 		tc.lay.sample("loadgen.lag_ms_p99", l)
 	}
-	tc.lay.set("trace.overhead_share", 1-tracedThr/plainThr)
+	// Per-operation latency, not throughput: an open loop completes its
+	// offered rate whatever tracing costs.
+	plainP50, tracedP50 := quantile(sortedCopy(plain.lat), 0.5), quantile(sortedCopy(rec.lat), 0.5)
+	tc.lay.set("trace.overhead_share", tracedP50/plainP50-1)
 	if plain.failed > 0 {
 		rec.mu.Lock()
 		rec.attempted += plain.attempted
@@ -223,7 +234,7 @@ func tracedRun(w workload, seed uint64, run time.Duration, spansPath string) (re
 
 	res := result{Correct: rec.failed == 0, Attempted: rec.attempted, Failed: rec.failed, Metrics: map[string]metric{}}
 	fmt.Printf("workload %s (%s), seed %d, traced run; spans in %s\n", w.name, w.loop, seed, spansPath)
-	fmt.Printf("  untraced %.2f ops/s, traced %.2f ops/s\n", plainThr, tracedThr)
+	fmt.Printf("  untraced %.2f ops/s, latency p50 %.3f ms; traced %.2f ops/s, latency p50 %.3f ms\n", plainThr, plainP50, tracedThr, tracedP50)
 	sort.Strings(toured)
 	fromTour := make(map[string]bool)
 	for _, n := range toured {
@@ -256,4 +267,36 @@ func printProblems(rec *opLog) {
 	for _, p := range rec.problems {
 		fmt.Printf("  FAILED: %s\n", p)
 	}
+}
+
+// capacityRun measures how many service-mix requests per second the
+// daemon completes when callers closed-loop callers keep it busy: a half
+// run untraced for the rate, then a half run traced for the lease waits.
+// serviceRate is a share of this figure.
+func capacityRun(seed uint64, run time.Duration, callers int) error {
+	b, err := newService(seed, serviceMixCfg)
+	if err != nil {
+		return err
+	}
+	defer b.close()
+	rec := newOpLog(serviceLimit)
+	rate := b.saturate(callers, rec.start.Add(run/2), rec, nil)
+	tc := &traceCtx{tr: newTracer(), lay: newLayerStats()}
+	trec := newOpLog(serviceLimit)
+	b.saturate(callers, trec.start.Add(run/2), trec, tc)
+	b.finish(rec)
+	lat := sortedCopy(rec.lat)
+	fmt.Printf("service-mix capacity, seed %d, %d callers: %.1f req/s (%d requests, %d failed), latency p50 %.2f ms\n",
+		seed, callers, rate, rec.attempted, rec.failed+trec.failed, quantile(lat, 0.5))
+	for _, name := range []string{"server.queued_share", "server.queue_wait_ms_p50", "server.queue_wait_ms_p99"} {
+		for _, m := range perLayer {
+			if m.name == name {
+				v, _, n, _ := tc.lay.value(m)
+				fmt.Printf("  %-26s %10.4f %s (%d reads, traced)\n", name, v, m.unit, n)
+			}
+		}
+	}
+	printProblems(rec)
+	printProblems(trec)
+	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -175,6 +176,61 @@ func TestCertifierRejectsBadBound(t *testing.T) {
 	}
 }
 
+// A session answer that rents an offline type or routes through a graph
+// the outage excluded is rejected, even though it is feasible and priced
+// right for the full problem.
+func TestCertifierRejectsOfflineUse(t *testing.T) {
+	ctx := context.Background()
+	p := rentmin.IllustratingExample()
+	p.Target = 70
+	rs, _, err := rentmin.NewSession(ctx, p, &rentmin.SessionOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	// The cheapest plan using each graph at full throughput, so some
+	// type any outage can hit is in use.
+	m := rentmin.NewCostModel(p)
+	var before rentmin.Allocation
+	off := -1
+	for j := range p.App.Graphs {
+		rho := make([]int, len(p.App.Graphs))
+		rho[j] = p.Target
+		a := m.NewAllocation(rho)
+		for q, n := range a.Machines {
+			if n == 0 {
+				continue
+			}
+			for k, g := range p.App.Graphs {
+				if k != j && g.TypeCounts(p.NumTypes())[q] == 0 {
+					before, off = a, q
+				}
+			}
+		}
+	}
+	if off < 0 {
+		t.Fatal("no type whose outage leaves a graph running")
+	}
+	if _, err := rs.Apply(ctx, rentmin.SessionEvent{Kind: rentmin.SessionOutage, Type: off}); err != nil {
+		t.Fatal(err)
+	}
+	_, live := rs.EffectiveProblem()
+	if err := certify(p, m, before, 0, false, false); err != nil {
+		t.Fatalf("plan not valid for the full problem: %v", err)
+	}
+	if err := certifyLive(before, rs.State().Offline, live); err == nil {
+		t.Errorf("plan renting offline type %d accepted", off)
+	}
+	routed := before.Clone() // no offline machines, but the excluded graph still carries the throughput
+	routed.Machines[off] = 0
+	if err := certifyLive(routed, rs.State().Offline, live); err == nil {
+		t.Errorf("plan routing through a graph excluded by the outage of type %d accepted", off)
+	}
+	if err := certifyLive(rs.State().Alloc, rs.State().Offline, live); err != nil {
+		t.Errorf("the session's own plan after the outage rejected: %v", err)
+	}
+}
+
 // metricName is the shape every emitted metric name must have.
 var metricName = regexp.MustCompile(`^[A-Za-z0-9_.-]+$`)
 
@@ -320,5 +376,15 @@ func TestWindowRate(t *testing.T) {
 	rec.doneAt = rec.doneAt[:50]
 	if r := rec.windowRate(); r < 990 || r > 1010 {
 		t.Errorf("rate %.1f/s over 50 completions, want about 1000/s", r)
+	}
+	// Batches of 32 completions, 32 ms apart: no window may split one.
+	rec.doneAt = nil
+	for b := 1; b <= 64; b++ {
+		for i := 0; i < 32; i++ {
+			rec.doneAt = append(rec.doneAt, time.Duration(b)*32*time.Millisecond)
+		}
+	}
+	if r := rec.windowRate(); r < 999 || r > 1001 {
+		t.Errorf("rate %.1f/s over batches of 32, want 1000/s", r)
 	}
 }

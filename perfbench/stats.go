@@ -247,6 +247,9 @@ const (
 // ones and returns the median over the windows of completions per
 // second, a rate that a burst of contention in part of the run does not
 // move. A run with fewer than 2*minPerWindow completions is one window.
+// Completions recorded at the same instant (the items of one batch) stay
+// in one window: split between two, they would count in the second
+// window although their time was spent in the first.
 func (o *opLog) windowRate() float64 {
 	o.mu.Lock()
 	done := append([]time.Duration(nil), o.doneAt...)
@@ -256,12 +259,16 @@ func (o *opLog) windowRate() float64 {
 	w := len(done) / windows
 	var rates []float64
 	var from time.Duration
-	for end := w; end <= len(done); end += w {
+	for start := 0; start+w <= len(done); {
+		end := start + w
+		for end < len(done) && done[end] == done[end-1] {
+			end++
+		}
 		to := done[end-1]
 		if to > from {
-			rates = append(rates, float64(w)/(to-from).Seconds())
+			rates = append(rates, float64(end-start)/(to-from).Seconds())
 		}
-		from = to
+		from, start = to, end
 	}
 	return median(rates)
 }
