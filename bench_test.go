@@ -8,7 +8,6 @@ package rentmin_test
 
 import (
 	"context"
-	"math"
 	"testing"
 	"time"
 
@@ -17,7 +16,6 @@ import (
 	"rentmin/internal/experiments"
 	"rentmin/internal/graphgen"
 	"rentmin/internal/heuristics"
-	"rentmin/internal/lp"
 	"rentmin/internal/rng"
 	"rentmin/internal/solve"
 	"rentmin/internal/stream"
@@ -161,10 +159,6 @@ func BenchmarkAblationILPNoRounding(b *testing.B) {
 
 func BenchmarkAblationILPNoIntegralPruning(b *testing.B) {
 	benchILPVariant(b, solve.ILPOptions{DisableIntegralPruning: true})
-}
-
-func BenchmarkAblationILPNoCuts(b *testing.B) {
-	benchILPVariant(b, solve.ILPOptions{DisableCuts: true})
 }
 
 func BenchmarkAblationILPNoStrongBranch(b *testing.B) {
@@ -355,164 +349,14 @@ func BenchmarkILPWarmStart(b *testing.B) { benchILPFig8(b, false) }
 // BenchmarkILPWarmStart is the tentpole speedup.
 func BenchmarkILPColdStart(b *testing.B) { benchILPFig8(b, true) }
 
-// --- Bounded-variable vs row-bound child LPs ---------------------------------
+// --- Root presolve -----------------------------------------------------------
 
-// BenchmarkILPBoundedVsRowBounds isolates the bounded-variable tentpole:
-// replay one deterministic branching dive on the Fig. 8-scale root LP —
-// cap the most fractional variable at its floor, re-optimize from the
-// parent basis, repeat — with the accumulated branching bounds expressed
-// two ways. "bounded" patches the variables' [lo, hi] (the scheme the
-// solver uses: the tableau stays m×n for the whole dive and the dual
-// simplex starts immediately); "rowbounds" appends or patches explicit
-// x_j <= floor rows (the pre-refactor scheme: the tableau grows one row
-// per branched variable and every restore must re-establish the bound-row
-// slacks). Same subproblem sequence, same optimal costs; the
-// simplex-iters/op spread is the price of keeping bounds in the tableau.
-// CI gates the metric via BENCH_baseline.json.
-func BenchmarkILPBoundedVsRowBounds(b *testing.B) {
-	m := fig8Instance(b)
-	prob := solve.BuildMILP(m, 120)
-	base := &prob.LP
-	root, err := lp.Solve(base, nil)
-	if err != nil || root.Status != lp.Optimal || root.Basis == nil {
-		b.Fatalf("root LP not warm-startable: %v (status %v)", err, root.Status)
-	}
-
-	// Precompute the dive (outside the timed region, in bounded mode):
-	// branch on the most fractional variable of each relaxation, flooring
-	// it when the down child is feasible and ceiling it otherwise — the
-	// path a depth-first branch-and-bound dive would take.
-	type step struct {
-		j  int
-		up bool // false: x_j <= floor; true: x_j >= ceil
-		v  float64
-	}
-	var steps []step
-	boundedProb := func(upto int) *lp.Problem {
-		q := &lp.Problem{Objective: base.Objective, Constraints: base.Constraints}
-		for _, st := range steps[:upto] {
-			lo, hi := q.LowerBound(st.j), q.UpperBound(st.j)
-			if st.up {
-				lo = math.Max(lo, st.v)
-			} else {
-				hi = math.Min(hi, st.v)
-			}
-			q.SetBounds(st.j, lo, hi)
-		}
-		return q
-	}
-	cur := root
-	const maxDepth = 40
-	for len(steps) < maxDepth {
-		bestJ, bestF := -1, 1e-6
-		for j, v := range cur.X {
-			f := v - math.Floor(v)
-			if f > 0.5 {
-				f = 1 - f
-			}
-			if f > bestF {
-				bestJ, bestF = j, f
-			}
-		}
-		if bestJ < 0 {
-			break // integral relaxation: the dive bottomed out
-		}
-		advanced := false
-		for _, up := range []bool{false, true} {
-			v := math.Floor(cur.X[bestJ])
-			if up {
-				v = math.Ceil(cur.X[bestJ])
-			}
-			steps = append(steps, step{bestJ, up, v})
-			q := boundedProb(len(steps))
-			if q.LowerBound(bestJ) > q.UpperBound(bestJ) {
-				steps = steps[:len(steps)-1]
-				continue
-			}
-			sol, err := lp.SolveFrom(q, cur.Basis, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if sol.Status != lp.Optimal || sol.Basis == nil {
-				steps = steps[:len(steps)-1]
-				continue
-			}
-			cur, advanced = sol, true
-			break
-		}
-		if !advanced {
-			break // both children infeasible: the dive bottomed out
-		}
-	}
-	if len(steps) < 4 {
-		b.Fatalf("dive too shallow (%d steps) to be representative", len(steps))
-	}
-
-	// rowProb expresses the same first `upto` steps as bound rows,
-	// appending the first row per (variable, sense) and patching repeats —
-	// exactly the pre-refactor child derivation.
-	rowProb := func(upto int) *lp.Problem {
-		cons := append([]lp.Constraint(nil), base.Constraints...)
-		type key struct {
-			j  int
-			up bool
-		}
-		rowOf := make(map[key]int)
-		for _, st := range steps[:upto] {
-			k := key{st.j, st.up}
-			if i, ok := rowOf[k]; ok {
-				if (st.up && st.v > cons[i].RHS) || (!st.up && st.v < cons[i].RHS) {
-					cons[i].RHS = st.v
-				}
-				continue
-			}
-			row := make([]float64, base.NumVars())
-			row[st.j] = 1
-			rel := lp.LE
-			if st.up {
-				rel = lp.GE
-			}
-			rowOf[k] = len(cons)
-			cons = append(cons, lp.Constraint{Coeffs: row, Rel: rel, RHS: st.v})
-		}
-		return &lp.Problem{Objective: base.Objective, Constraints: cons}
-	}
-
-	run := func(b *testing.B, probAt func(upto int) *lp.Problem) {
-		b.Helper()
-		iters := 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			parent := root
-			for d := 1; d <= len(steps); d++ {
-				sol, err := lp.SolveFrom(probAt(d), parent.Basis, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if sol.Status != lp.Optimal || sol.Basis == nil {
-					b.Fatalf("depth %d: status %v", d, sol.Status)
-				}
-				iters += sol.Iterations
-				parent = sol
-			}
-		}
-		b.ReportMetric(float64(iters)/float64(b.N), "simplex-iters/op")
-		b.ReportMetric(float64(len(steps)), "dive-depth")
-	}
-
-	b.Run("bounded", func(b *testing.B) { run(b, boundedProb) })
-	b.Run("rowbounds", func(b *testing.B) { run(b, rowProb) })
-}
-
-// --- Dense vs sparse pivot kernels -------------------------------------------
-
-// largeSparseInstance generates a pathological instance for the dense
-// tableau kernel: 120 recipe alternatives of 1-3 tasks each over 200
-// machine types. The MILP relaxation has ~200 rows × ~520 columns but
-// each capacity row touches only the handful of graphs whose tasks use
-// that type, so the constraint matrix is ~99% zeros — dense pivots
-// rewrite the whole m×n tableau anyway, while the sparse revised
-// simplex pays per nonzero.
+// largeSparseInstance generates 120 recipe alternatives of 1-3 tasks each
+// over 200 machine types. The MILP relaxation has ~200 rows × ~520
+// columns but each capacity row touches only the handful of graphs whose
+// tasks use that type, so the constraint matrix is ~99% zeros — the
+// shape the sparse revised simplex (which the LP solver picks for any LP
+// over 12 rows) pays for per nonzero.
 func largeSparseInstance(b *testing.B) *core.CostModel {
 	b.Helper()
 	p, err := graphgen.Generate(graphgen.Config{
@@ -527,72 +371,16 @@ func largeSparseInstance(b *testing.B) *core.CostModel {
 	return core.NewCostModel(p)
 }
 
-// BenchmarkILPSparseKernel pits the two LP pivot kernels against each
-// other on the same exact solves: the Fig. 8-scale instance (the dense
-// kernel's home turf — small, dense-ish relaxations) and the large
-// sparse instance above (where per-pivot m×n tableau rewrites dominate
-// the dense kernel and the factorized-basis kernel should win on
-// wall-clock). Sequential search so nodes/op and simplex-iters/op are
-// exactly reproducible; CI gates both metrics per sub-benchmark via
-// BENCH_baseline.json, and the dense/sparse ns/op pairs document the
-// crossover.
-func BenchmarkILPSparseKernel(b *testing.B) {
-	cases := []struct {
-		name      string
-		m         *core.CostModel
-		target    int
-		nodeLimit int
-	}{
-		{"fig8", fig8Instance(b), 120, 150},
-		{"large", largeSparseInstance(b), 60, 40},
-	}
-	kernels := []struct {
-		name string
-		kind lp.KernelKind
-	}{
-		{"dense", lp.KernelDense},
-		{"sparse", lp.KernelSparse},
-	}
-	for _, c := range cases {
-		cost := int64(-1) // both kernels must land on the same incumbent
-		for _, k := range kernels {
-			b.Run(c.name+"/"+k.name, func(b *testing.B) {
-				iters, nodes := 0, 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := solve.ILP(c.m, c.target, &solve.ILPOptions{
-						Workers: 1, NodeLimit: c.nodeLimit, LPKernel: k.kind,
-					})
-					if err != nil {
-						b.Fatalf("ILP (%s kernel): %v", k.name, err)
-					}
-					if cost < 0 {
-						cost = res.Alloc.Cost
-					} else if res.Alloc.Cost != cost {
-						b.Fatalf("%s kernel cost %d, other kernel found %d", k.name, res.Alloc.Cost, cost)
-					}
-					iters += res.LPIterations
-					nodes += res.Nodes
-				}
-				b.ReportMetric(float64(iters)/float64(b.N), "simplex-iters/op")
-				b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-			})
-		}
-	}
-}
-
-// --- Root presolve -----------------------------------------------------------
-
 // BenchmarkILPPresolve runs the same exact solves with the MILP root
 // presolve on and off, on the Fig. 8-scale instance and the large sparse
 // instance. The presolved root substitutes fixed columns, drops redundant
 // capacity rows and tightens the default bounds before branch and bound
-// starts, so simplex-iters/op should only ever drop relative to the off
-// leg (on "large" it removes ~33 rows and columns outright); nodes/op and
-// the incumbent cost must stay comparable — both legs must land on the
-// same cost or the run aborts. Sequential search so both metrics are
-// exactly reproducible; CI gates them per sub-benchmark via
-// BENCH_baseline.json.
+// starts (on "large" it removes ~33 rows and columns outright, which
+// shrinks every node LP and so the wall clock, even where the pivot count
+// does not drop); nodes/op and the incumbent cost must stay comparable —
+// both legs must land on the same cost or the run aborts. Sequential
+// search so both metrics are exactly reproducible; CI gates them per
+// sub-benchmark via BENCH_baseline.json.
 func BenchmarkILPPresolve(b *testing.B) {
 	cases := []struct {
 		name      string
@@ -660,8 +448,8 @@ func fig8SessionProblem(b *testing.B) *rentmin.Problem {
 // solution churn (machine moves per op, informational). Session creation
 // (the initial cold solve) happens outside the timed region; the timed
 // region is exactly the event re-solves. The warm leg must run every
-// re-solve warm and CI gates its simplex-iters/op staying below the cold
-// leg's via BENCH_baseline.json.
+// re-solve warm; CI gates each leg's simplex-iters/op against
+// BENCH_baseline.json.
 func benchSessionResolve(b *testing.B, cold bool) {
 	b.Helper()
 	p := fig8SessionProblem(b)
@@ -707,9 +495,10 @@ func benchSessionResolve(b *testing.B, cold bool) {
 func BenchmarkSessionResolveWarm(b *testing.B) { benchSessionResolve(b, false) }
 
 // BenchmarkSessionResolveCold replays the same script with warm seeding
-// disabled — every event pays a from-scratch exact solve. The
-// simplex-iters/op ratio against BenchmarkSessionResolveWarm is the
-// online re-optimization speedup.
+// disabled — every event pays a from-scratch exact solve. The two legs
+// differ only in the seed (no incumbent, no root basis here), and both
+// run the same kernel, so the ns/op and simplex-iters/op ratios against
+// BenchmarkSessionResolveWarm measure exactly what seeding buys.
 func BenchmarkSessionResolveCold(b *testing.B) { benchSessionResolve(b, true) }
 
 // --- Component micro-benchmarks ----------------------------------------------

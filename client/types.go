@@ -52,10 +52,9 @@ type SolveRequest struct {
 	// exists for ablation campaigns and numerical diagnosis, and a
 	// coordinator forwards it so remote solves honor it too.
 	DisableLPWarmStart bool `json:"disable_lp_warm_start,omitempty"`
-	// DisablePresolve switches off the root presolve pass (and the CG
-	// rounding cuts it enables) for this solve. Costs are identical
-	// either way; the flag exists for ablation, and a coordinator
-	// forwards it so remote solves honor it too.
+	// DisablePresolve switches off the root presolve pass for this solve.
+	// Costs are identical either way; the flag exists for ablation, and a
+	// coordinator forwards it so remote solves honor it too.
 	DisablePresolve bool `json:"disable_presolve,omitempty"`
 	// Stats opts into the solve flight-recorder block on the response
 	// (Solution.Stats): trace/worker attribution, the queue-wait vs
@@ -106,15 +105,15 @@ type Solution struct {
 	LPSolves       int `json:"lp_solves"`
 	WarmLPSolves   int `json:"warm_lp_solves,omitempty"`
 	WastedLPSolves int `json:"wasted_lp_solves"`
-	// Cuts counts root cutting planes (Gomory fractional plus CG
-	// rounding) over CutRounds generation rounds.
-	Cuts      int `json:"cuts,omitempty"`
-	CutRounds int `json:"cut_rounds,omitempty"`
+	// Cuts is always 0 (omitted from the JSON): daemons add no cutting
+	// planes. The field is kept for callers that still read it.
+	Cuts int `json:"cuts,omitempty"`
 	// Presolve counts the root presolve reductions; nil when presolve was
 	// disabled or reduced nothing.
 	Presolve *PresolveStats `json:"presolve,omitempty"`
-	// LPKernel names the simplex kernel that solved the relaxations
-	// ("dense" or "sparse"); empty from daemons predating the field.
+	// LPKernel names the simplex kernel that solved the relaxations:
+	// "dense" for LPs of at most 12 constraint rows, "sparse" above.
+	// Empty when no LP ran and from daemons predating the field.
 	LPKernel string `json:"lp_kernel,omitempty"`
 	// ElapsedMs is the solver wall clock in milliseconds.
 	ElapsedMs float64 `json:"elapsed_ms"`
@@ -144,18 +143,16 @@ type SolveStats struct {
 	QueueWaitMs float64 `json:"queue_wait_ms"`
 	SolveMs     float64 `json:"solve_ms"`
 	// LPKernel/WarmLPSolves/ColdLPSolves/WastedLPSolves describe the LP
-	// work behind the solve: which simplex kernel ran, how many node
+	// work behind the solve: which simplex kernel the row-count rule
+	// picked and ran (see Solution.LPKernel), how many node
 	// relaxations re-optimized warm from the parent basis versus solved
 	// cold, and how many speculative solves parallel search discarded.
 	LPKernel       string `json:"lp_kernel,omitempty"`
 	WarmLPSolves   int    `json:"warm_lp_solves"`
 	ColdLPSolves   int    `json:"cold_lp_solves"`
 	WastedLPSolves int    `json:"wasted_lp_solves"`
-	// Cuts/CutRounds/Presolve describe the root strengthening work:
-	// cutting planes added, generation rounds, and presolve reductions.
-	Cuts      int            `json:"cuts,omitempty"`
-	CutRounds int            `json:"cut_rounds,omitempty"`
-	Presolve  *PresolveStats `json:"presolve,omitempty"`
+	// Presolve counts the root presolve reductions.
+	Presolve *PresolveStats `json:"presolve,omitempty"`
 	// Incumbents is the incumbent-improvement trajectory and Rounds the
 	// per-round bound trajectory, both present only for in-process
 	// solves (a coordinator cannot observe a remote search's interior).
@@ -310,10 +307,7 @@ type DebugSolve struct {
 	WastedLPSolves int    `json:"wasted_lp_solves"`
 	LPKernel       string `json:"lp_kernel,omitempty"`
 
-	// Root-strengthening counters: cutting planes added, cut rounds, and
-	// the presolve reduction counts (flat so the ring stays allocation-light).
-	Cuts           int `json:"cuts,omitempty"`
-	CutRounds      int `json:"cut_rounds,omitempty"`
+	// Presolve reduction counts (flat so the ring stays allocation-light).
 	PresolveRows   int `json:"presolve_rows,omitempty"`
 	PresolveCols   int `json:"presolve_cols,omitempty"`
 	PresolveBounds int `json:"presolve_bounds,omitempty"`

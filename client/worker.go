@@ -274,8 +274,6 @@ func (s *Solution) ToSolution() (rentmin.Solution, error) {
 		LPSolves:       s.LPSolves,
 		WarmLPSolves:   s.WarmLPSolves,
 		WastedLPSolves: s.WastedLPSolves,
-		Cuts:           s.Cuts,
-		CutRounds:      s.CutRounds,
 		Elapsed:        time.Duration(s.ElapsedMs * float64(time.Millisecond)),
 		LPKernel:       s.LPKernel,
 	}

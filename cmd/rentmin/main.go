@@ -5,7 +5,7 @@
 // Usage:
 //
 //	rentmin -problem instance.json [-target 70] [-algo ilp|h0|h1|h2|h31|h32|h32jump]
-//	        [-time-limit 10s] [-workers 8] [-lp-warm=false] [-lp-kernel dense|sparse]
+//	        [-time-limit 10s] [-workers 8] [-lp-warm=false]
 //	        [-presolve=false] [-seed 1] [-delta 10] [-iterations 2000]
 //	        [-simulate] [-sim-duration 60]
 //
@@ -35,8 +35,7 @@ func main() {
 	timeLimit := flag.Duration("time-limit", 0, "branch-and-bound budget for -algo ilp (0 = unlimited)")
 	workers := flag.Int("workers", 0, "parallel branch-and-bound workers for -algo ilp (0 = GOMAXPROCS, 1 = sequential)")
 	lpWarm := flag.Bool("lp-warm", true, "dual-simplex LP warm starts inside branch and bound for -algo ilp (false = cold re-solves)")
-	lpKernel := flag.String("lp-kernel", "auto", "simplex pivot kernel for -algo ilp: auto, dense, sparse (auto = RENTMIN_LP_KERNEL or dense)")
-	presolve := flag.Bool("presolve", true, "root presolve + extra cutting planes for -algo ilp (false = plain branch and bound)")
+	presolve := flag.Bool("presolve", true, "root presolve for -algo ilp (false = plain branch and bound)")
 	seed := flag.Uint64("seed", 1, "seed for stochastic heuristics")
 	delta := flag.Int("delta", 0, "exchange quantum for iterative heuristics (0 = auto)")
 	iterations := flag.Int("iterations", 0, "iteration budget for iterative heuristics (0 = default)")
@@ -65,7 +64,6 @@ func main() {
 			Workers:            *workers,
 			DisableLPWarmStart: !*lpWarm,
 			DisablePresolve:    !*presolve,
-			LPKernel:           *lpKernel,
 		})
 		if err != nil {
 			log.Fatalf("solve: %v", err)

@@ -9,7 +9,7 @@
 //	         [-max-graphs 64] [-max-types 256] [-max-tasks 8192]
 //	         [-max-target 1000000] [-max-batch 64] [-max-body 16777216]
 //	         [-default-time-limit 10s] [-max-time-limit 60s]
-//	         [-shutdown-grace 30s] [-problem-cache 256] [-lp-kernel dense|sparse]
+//	         [-shutdown-grace 30s] [-problem-cache 256]
 //	         [-presolve=false] [-debug-solves 64] [-pprof]
 //	         [-max-sessions 64] [-session-idle 15m]
 //	         [-coordinator] [-workers-endpoints http://w1:8080,http://w2:8080]
@@ -101,7 +101,6 @@ import (
 
 	"rentmin"
 	"rentmin/client"
-	"rentmin/internal/lp"
 	"rentmin/internal/server"
 )
 
@@ -142,17 +141,10 @@ func main() {
 	register := flag.String("register", "", "coordinator base URL to register this worker with, at boot and every -register-interval")
 	advertise := flag.String("advertise", "", "this worker's own base URL as the coordinator should dial it (required with -register)")
 	registerInterval := flag.Duration("register-interval", 15*time.Second, "how often to re-announce to the -register coordinator (re-registration is idempotent and revives an evicted worker)")
-	lpKernel := flag.String("lp-kernel", "auto", "simplex pivot kernel for every solve in this process: auto, dense, sparse (auto = RENTMIN_LP_KERNEL or dense)")
-	presolve := flag.Bool("presolve", true, "MILP root presolve + extra cutting planes for every solve (false = plain branch and bound; requests can also opt out per solve)")
+	presolve := flag.Bool("presolve", true, "MILP root presolve for every solve (false = plain branch and bound; requests can also opt out per solve)")
 	debugSolves := flag.Int("debug-solves", 64, "solve flight-recorder entries served by GET /debug/solves")
 	pprofFlag := flag.Bool("pprof", false, "mount the net/http/pprof profiling handlers under /debug/pprof/ (unauthenticated: keep it off the open internet)")
 	flag.Parse()
-
-	kernel, err := lp.ParseKernel(*lpKernel)
-	if err != nil {
-		fatal("invalid -lp-kernel", "err", err)
-	}
-	lp.SetDefaultKernel(kernel)
 
 	cfg := server.Config{
 		Workers:            *workers,

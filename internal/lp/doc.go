@@ -14,36 +14,35 @@
 //
 // # Pivot kernels
 //
-// The simplex mechanics live behind a pluggable pivot kernel, selected
-// per solve with Options.Kernel (or process-wide with SetDefaultKernel /
-// the RENTMIN_LP_KERNEL environment variable; see KernelKind). The two
-// kernels are independent implementations of the same contract — same
-// statuses, same optimal objectives, interchangeable basis snapshots —
-// and differ only in how they represent the problem and the basis:
+// The simplex mechanics come in two kernels, independent implementations
+// of the same contract — same statuses, same optimal objectives,
+// interchangeable basis snapshots — that differ only in how they
+// represent the problem and the basis:
 //
-//   - KernelDense (the default) is a dense bounded-variable tableau.
-//     Every pivot rewrites an explicit m×n tableau, which favours
-//     robustness and cache-friendliness at the modest sizes of the
-//     paper's instances.
+//   - KernelDense is a dense bounded-variable tableau. Every pivot
+//     rewrites an explicit m×n tableau, which is cheap and
+//     cache-friendly on LPs with few rows.
 //   - KernelSparse is a sparse revised simplex: column-major (CSC)
 //     storage of the constraint matrix, an LU-style product-form
 //     factorization of the basis updated with eta files and periodically
 //     refactorized, and Dantzig pricing over reduced costs obtained by
 //     BTRAN. Per-iteration work scales with the matrix's nonzero count
-//     instead of m×n, which wins on large, sparse instances (many
-//     recipe graphs over many machine types).
+//     instead of m×n, which wins once the LP has more rows (many recipe
+//     graphs over many machine types).
 //
-// Solve, SolveFrom and SolveGomory all route through a Solver value
-// constructed from a Problem; NewSolver exposes the same dispatch for
-// callers that want to hold one. Status values map to typed sentinel
-// errors (ErrInfeasible, ErrUnbounded, ErrIterLimit) via Status.Err, so
-// callers can errors.Is against outcomes that cross API layers.
+// No option selects a kernel. Solve and SolveFrom apply one measured
+// rule: the dense tableau for an LP with at most 12 constraint rows, the
+// sparse kernel for anything larger (see denseMaxRows for the sweep
+// behind the threshold). Solution.Kernel reports which kernel ran.
+// Status values map to typed sentinel errors (ErrInfeasible,
+// ErrUnbounded, ErrIterLimit) via Status.Err, so callers can errors.Is
+// against outcomes that cross API layers.
 //
 // # The dense kernel
 //
 // The dense tableau is built with one slack/surplus column per
 // inequality row and one artificial column per row that lacks an
-// identity start (GE and EQ rows); all rows share a single backing arena
+// identity start (GE and EQ rows); all rows share a single backing slice
 // so a solve touches one allocation and no memory outside its own
 // tableau. Phase 1 minimizes the artificial sum, evicts leftover basic
 // artificials (marking linearly dependent rows redundant), and phase 2
@@ -106,39 +105,4 @@
 // to the cold two-phase Solve, with the rejected attempt's pivots still
 // counted in Solution.Iterations so warm-vs-cold comparisons stay
 // honest.
-//
-// # Gomory cuts over bounded variables
-//
-// SolveGomory layers fractional cutting planes on top of Solve for pure
-// integer programs with integral data; the milp package applies it at
-// the root of the branch-and-bound tree. Cut extraction reads dense
-// tableau rows, so the cut loop always runs on the dense kernel,
-// re-solving the growing problem through one reusable allocation arena
-// across rounds.
-//
-// The textbook Gomory fractional cut is derived for variables with
-// bounds [0, +inf): a tableau row x_B + sum_j a_j x_j = b with
-// fractional b yields the valid cut sum_j frac(a_j) x_j >= frac(b),
-// because every nonbasic x_j sits at 0 and can only increase. With
-// general bounds that premise breaks twice — a nonbasic variable may
-// rest at a nonzero lower bound, or at its UPPER bound, from which it
-// can only decrease. The solver handles both by deriving the cut in the
-// same shifted/complemented coordinates the dense tableau pivots in:
-//
-//   - Shifting: y_j = x_j - lo_j maps every lower bound to 0. frac(b)
-//     is taken on the shifted RHS, and the cut's constant term absorbs
-//     sum_j frac(a_j)·lo_j when translated back to x coordinates.
-//   - Complementing: a nonbasic variable resting at capacity
-//     cap_j = hi_j - lo_j is replaced by its reflection
-//     y'_j = cap_j - y_j, which does sit at 0 and can only increase.
-//     In the tableau this negates the column; in the cut it flips the
-//     coefficient's sign and moves frac(a_j)·cap_j into the constant.
-//
-// After both transformations every nonbasic variable is at 0 with room
-// only upward, the classic derivation applies verbatim, and the cut is
-// translated back to original x coordinates before being appended as a
-// constraint row. Validity requires every finite bound to be integral
-// (within 1e-9) so the shifted problem keeps integral data; when any
-// bound is fractional or the data is non-integral, SolveGomory degrades
-// to a cut-free Solve rather than risk cutting off integer points.
 package lp

@@ -18,16 +18,18 @@ func TestDualsKnownValues(t *testing.T) {
 			{Coeffs: []float64{1, 0}, Rel: GE, RHS: 2},
 		},
 	}
-	sol := solveOK(t, p)
-	if sol.Status != Optimal {
-		t.Fatalf("status %v", sol.Status)
-	}
-	if math.Abs(sol.Duals[0]-10) > 1e-9 {
-		t.Errorf("dual[0] = %g, want 10", sol.Duals[0])
-	}
-	if math.Abs(sol.Duals[1]) > 1e-9 {
-		t.Errorf("dual[1] = %g, want 0 (non-binding)", sol.Duals[1])
-	}
+	forEachKernel(t, func(t *testing.T, solve func(*Problem) Solution) {
+		sol := solve(p)
+		if sol.Status != Optimal {
+			t.Fatalf("status %v", sol.Status)
+		}
+		if math.Abs(sol.Duals[0]-10) > 1e-9 {
+			t.Errorf("dual[0] = %g, want 10", sol.Duals[0])
+		}
+		if math.Abs(sol.Duals[1]) > 1e-9 {
+			t.Errorf("dual[1] = %g, want 0 (non-binding)", sol.Duals[1])
+		}
+	})
 }
 
 // LE rows in a minimization get non-positive duals: tightening the
@@ -42,19 +44,21 @@ func TestDualsSignsLE(t *testing.T) {
 			{Coeffs: []float64{3, 2}, Rel: LE, RHS: 18},
 		},
 	}
-	sol := solveOK(t, p)
-	for i, d := range sol.Duals {
-		if d > 1e-9 {
-			t.Errorf("dual[%d] = %g, want <= 0 for LE in a minimization", i, d)
+	forEachKernel(t, func(t *testing.T, solve func(*Problem) Solution) {
+		sol := solve(p)
+		for i, d := range sol.Duals {
+			if d > 1e-9 {
+				t.Errorf("dual[%d] = %g, want <= 0 for LE in a minimization", i, d)
+			}
 		}
-	}
-	// Classic values: y = (0, -3/2, -1).
-	want := []float64{0, -1.5, -1}
-	for i := range want {
-		if math.Abs(sol.Duals[i]-want[i]) > 1e-9 {
-			t.Errorf("dual[%d] = %g, want %g", i, sol.Duals[i], want[i])
+		// Classic values: y = (0, -3/2, -1).
+		want := []float64{0, -1.5, -1}
+		for i := range want {
+			if math.Abs(sol.Duals[i]-want[i]) > 1e-9 {
+				t.Errorf("dual[%d] = %g, want %g", i, sol.Duals[i], want[i])
+			}
 		}
-	}
+	})
 }
 
 // Shadow-price semantics: perturbing a binding RHS by eps moves the
@@ -67,18 +71,20 @@ func TestDualsShadowPrice(t *testing.T) {
 			{Coeffs: []float64{1, 3}, Rel: GE, RHS: 9},
 		},
 	}
-	sol := solveOK(t, base)
-	const eps = 1e-3
-	for i := range base.Constraints {
-		pert := base.Clone()
-		pert.Constraints[i].RHS += eps
-		psol := solveOK(t, pert)
-		predicted := sol.Objective + eps*sol.Duals[i]
-		if math.Abs(psol.Objective-predicted) > 1e-6 {
-			t.Errorf("row %d: perturbed objective %g, dual predicts %g (dual %g)",
-				i, psol.Objective, predicted, sol.Duals[i])
+	forEachKernel(t, func(t *testing.T, solve func(*Problem) Solution) {
+		sol := solve(base)
+		const eps = 1e-3
+		for i := range base.Constraints {
+			pert := base.Clone()
+			pert.Constraints[i].RHS += eps
+			psol := solve(pert)
+			predicted := sol.Objective + eps*sol.Duals[i]
+			if math.Abs(psol.Objective-predicted) > 1e-6 {
+				t.Errorf("row %d: perturbed objective %g, dual predicts %g (dual %g)",
+					i, psol.Objective, predicted, sol.Duals[i])
+			}
 		}
-	}
+	})
 }
 
 // Duals of rows entered with a negative RHS (normalized internally) must
@@ -91,21 +97,27 @@ func TestDualsNormalizedRow(t *testing.T) {
 			{Coeffs: []float64{-1}, Rel: LE, RHS: -3},
 		},
 	}
-	sol := solveOK(t, p)
-	// dObj/dRHS: raising the original RHS (-3 -> -3+eps) relaxes x >= 3
-	// to x >= 3-eps, lowering the optimum by eps: dual = -1.
-	if math.Abs(sol.Duals[0]-(-1)) > 1e-9 {
-		t.Errorf("dual = %g, want -1", sol.Duals[0])
-	}
+	forEachKernel(t, func(t *testing.T, solve func(*Problem) Solution) {
+		sol := solve(p)
+		// dObj/dRHS: raising the original RHS (-3 -> -3+eps) relaxes x >= 3
+		// to x >= 3-eps, lowering the optimum by eps: dual = -1.
+		if math.Abs(sol.Duals[0]-(-1)) > 1e-9 {
+			t.Errorf("dual = %g, want -1", sol.Duals[0])
+		}
+	})
 }
 
 // Property: strong duality b·y == objective and dual feasibility
 // A^T y <= c on random covering LPs.
 func TestQuickStrongDualityViaDuals(t *testing.T) {
-	f := func(seed int64) bool {
+	f := func(seed int64, sparse bool) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := randomCoveringLP(r)
-		sol, err := Solve(p, nil)
+		k := KernelDense
+		if sparse {
+			k = KernelSparse
+		}
+		sol, err := solveKernel(p, nil, nil, k)
 		if err != nil || sol.Status != Optimal {
 			return false
 		}
@@ -132,5 +144,22 @@ func TestQuickStrongDualityViaDuals(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Error(err)
+	}
+}
+
+// forEachKernel runs body once per pivot kernel, as a subtest, with a
+// solve function forced onto that kernel.
+func forEachKernel(t *testing.T, body func(t *testing.T, solve func(*Problem) Solution)) {
+	for _, k := range kernelsUnderTest() {
+		t.Run(k.String(), func(t *testing.T) {
+			body(t, func(p *Problem) Solution {
+				t.Helper()
+				sol, err := solveKernel(p, nil, nil, k)
+				if err != nil {
+					t.Fatalf("Solve on %v: %v", k, err)
+				}
+				return sol
+			})
+		})
 	}
 }

@@ -45,7 +45,7 @@ type Basis struct {
 func (b *Basis) Rows() int { return len(b.rows) }
 
 // Kernel implements BasisSnapshot: the dense tableau kernel.
-func (b *Basis) Kernel() KernelKind { return KernelDense }
+func (b *Basis) Kernel() Kernel { return KernelDense }
 
 // data implements BasisSnapshot (nil-safe: a typed-nil *Basis decodes to
 // n < 0, which no problem matches).

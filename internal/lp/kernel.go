@@ -3,110 +3,67 @@ package lp
 import (
 	"errors"
 	"fmt"
-	"os"
-	"sync"
-	"sync/atomic"
 )
 
-// Pluggable pivot kernels.
+// Two pivot kernels.
 //
 // The simplex engine comes in two implementations behind one API: the
 // dense bounded-variable tableau (simplex.go) and the sparse revised
-// simplex with a factorized basis (sparse.go). Solve, SolveFrom and
-// SolveGomory all construct a Solver and dispatch on its resolved
-// KernelKind; callers select a kernel per solve through Options.Kernel,
-// per process through SetDefaultKernel, or per environment through
-// RENTMIN_LP_KERNEL. Warm starts cross kernels freely: BasisSnapshot is
-// a kernel-neutral logical encoding of the optimal vertex, and each
-// kernel restores it its own way (the dense tableau re-pivots, the
-// sparse kernel refactorizes).
+// simplex with a factorized basis (sparse.go). Solve and SolveFrom pick
+// one per problem by its constraint-row count (kernelFor); nothing else
+// selects a kernel. Warm starts cross kernels freely: BasisSnapshot is a
+// kernel-neutral logical encoding of the optimal vertex, and each kernel
+// restores it its own way (the dense tableau re-pivots, the sparse
+// kernel refactorizes).
 
-// KernelKind selects a simplex pivot-kernel implementation.
-type KernelKind int8
+// Kernel names a simplex pivot-kernel implementation. It is reported,
+// never chosen: Solution.Kernel and BasisSnapshot.Kernel say which
+// kernel did the work.
+type Kernel int8
 
-// Available kernels.
+// The kernels.
 const (
-	// KernelAuto defers the choice: the process default installed with
-	// SetDefaultKernel if any, else the RENTMIN_LP_KERNEL environment
-	// variable, else the dense tableau.
-	KernelAuto KernelKind = iota
 	// KernelDense is the dense bounded-variable tableau: every pivot
-	// touches all m×(n+slack+artificial) entries. Fastest on the small
-	// dense relaxations branch and bound produces at paper scale.
-	KernelDense
+	// touches all m×(n+slack+artificial) entries.
+	KernelDense Kernel = iota
 	// KernelSparse is the sparse revised simplex: column-major constraint
 	// storage, a product-form factorized basis with eta-file updates and
 	// periodic refactorization, Dantzig pricing. Per-iteration cost scales
-	// with the nonzero count, not m×n, so it wins on large sparse
-	// instances.
+	// with the nonzero count, not m×n.
 	KernelSparse
 )
 
 // String implements fmt.Stringer.
-func (k KernelKind) String() string {
+func (k Kernel) String() string {
 	switch k {
-	case KernelAuto:
-		return "auto"
 	case KernelDense:
 		return "dense"
 	case KernelSparse:
 		return "sparse"
 	}
-	return fmt.Sprintf("KernelKind(%d)", int(k))
+	return fmt.Sprintf("Kernel(%d)", int(k))
 }
 
-// ParseKernel parses a kernel name: "auto" (or empty), "dense", "sparse".
-func ParseKernel(s string) (KernelKind, error) {
-	switch s {
-	case "", "auto":
-		return KernelAuto, nil
-	case "dense":
-		return KernelDense, nil
-	case "sparse":
-		return KernelSparse, nil
-	}
-	return KernelAuto, fmt.Errorf("lp: unknown kernel %q (want auto, dense or sparse)", s)
-}
+// denseMaxRows is the largest constraint-row count solved on the dense
+// tableau; larger LPs go to the sparse kernel. A sweep of solve.ILP (root
+// cuts off, 1 worker) over recipe MILPs of growing type count put sparse
+// time over dense time at 1.04 and 0.97 at 13 rows, 0.88 and 0.72 at 17
+// rows, and at most 0.95 from 25 rows up. On the ≤6-row Table 3 and
+// Fig. 3 instances of the end-to-end paper-sweep workload the dense
+// kernel sustains 1.37× the solves per second of the sparse one (1577 vs
+// 1154 on a 2-core Xeon). A second sweep with presolve on over Fig. 3-
+// and Fig. 6-scale families (same box, 300-node cap) found sparse/dense
+// 0.86–1.16 at 6–9 rows and 0.86–0.88 at 12, so the crossover may lie
+// below 12; no benchmark workload has an LP of 10 to 50 rows to settle
+// it.
+const denseMaxRows = 12
 
-// defaultKernel is the process-wide kernel installed by SetDefaultKernel
-// (0 = KernelAuto = not installed).
-var defaultKernel atomic.Int32
-
-// SetDefaultKernel installs the kernel used by every solve whose
-// Options.Kernel is KernelAuto. It is safe for concurrent use; pass
-// KernelAuto to restore the environment/default resolution. Daemons wire
-// their -lp-kernel flag here so the choice applies process-wide without
-// threading an option through every call path.
-func SetDefaultKernel(k KernelKind) { defaultKernel.Store(int32(k)) }
-
-// envKernel resolves RENTMIN_LP_KERNEL once; unset, empty, "auto" or
-// unparsable values fall back to the dense kernel.
-var envKernel = sync.OnceValue(func() KernelKind {
-	k, err := ParseKernel(os.Getenv("RENTMIN_LP_KERNEL"))
-	if err != nil || k == KernelAuto {
+// kernelFor picks the kernel for an LP with m constraint rows.
+func kernelFor(m int) Kernel {
+	if m <= denseMaxRows {
 		return KernelDense
 	}
-	return k
-})
-
-// EffectiveKernel resolves the kernel a solve with the given selection
-// would actually run: k itself unless it is KernelAuto, in which case
-// the process default installed by SetDefaultKernel, else the
-// RENTMIN_LP_KERNEL environment variable, else the dense tableau. The
-// observability layer uses it to report which kernel a solve paid for.
-func EffectiveKernel(k KernelKind) KernelKind {
-	return (&Options{Kernel: k}).kernel()
-}
-
-// kernel resolves the effective kernel for these options.
-func (o *Options) kernel() KernelKind {
-	if o != nil && o.Kernel != KernelAuto {
-		return o.Kernel
-	}
-	if k := KernelKind(defaultKernel.Load()); k != KernelAuto {
-		return k
-	}
-	return envKernel()
+	return KernelSparse
 }
 
 // Typed error sentinels for the non-optimal solve outcomes. The kernels
@@ -150,7 +107,7 @@ type BasisSnapshot interface {
 	// Rows returns the number of constraint rows the snapshot covers.
 	Rows() int
 	// Kernel identifies the kernel that took the snapshot.
-	Kernel() KernelKind
+	Kernel() Kernel
 	// data exposes the logical encoding to the kernels (sealing method):
 	// rows[i] >= 0 names structural column rows[i] basic in row i, and
 	// rows[i] < 0 names the slack/surplus column of constraint row
@@ -160,105 +117,63 @@ type BasisSnapshot interface {
 	data() (rows []int32, flips []int32, n int)
 }
 
-// Solver is a reusable handle for solving one Problem with a resolved
-// kernel. Solve and SolveFrom are thin wrappers over it; constructing a
-// Solver directly lets callers pin the kernel choice once and (with
-// newSolverArena, used by SolveGomory) share scratch memory across
-// repeated solves of growing variants of the problem.
-type Solver struct {
-	p    *Problem
-	opts *Options
-	kind KernelKind
-	ar   *arena
-}
-
-// NewSolver validates the problem and resolves the kernel.
-func NewSolver(p *Problem, opts *Options) (*Solver, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &Solver{p: p, opts: opts, kind: opts.kernel()}, nil
-}
-
-// newSolverArena is NewSolver plus a shared allocation arena for the
-// dense kernel's tableaus (SolveGomory's cut-round loop).
-func newSolverArena(p *Problem, opts *Options, ar *arena) (*Solver, error) {
-	s, err := NewSolver(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.ar = ar
-	return s, nil
-}
-
-// Kernel returns the kernel this solver dispatches to.
-func (s *Solver) Kernel() KernelKind { return s.kind }
-
-// Solve runs a cold solve on the selected kernel.
-func (s *Solver) Solve() (Solution, error) {
-	if s.kind == KernelSparse {
-		return newSparse(s.p, s.opts).solve()
-	}
-	t := newTableauArena(s.p, s.opts, s.ar)
-	return t.solve(s.p)
-}
-
-// SolveFrom re-optimizes from a basis snapshot on the selected kernel,
-// falling back transparently to a cold Solve whenever the warm start is
-// rejected (nil or mismatched snapshot, a singular restore, lost dual
-// feasibility, or an iteration limit). Solution.Warm reports which path
-// produced the result; the pivots a rejected warm attempt spent are
-// folded into Iterations so warm-vs-cold comparisons stay honest.
-func (s *Solver) SolveFrom(b BasisSnapshot) (Solution, error) {
-	wasted := 0
-	if b != nil {
-		rows, flips, n := b.data()
-		if n == s.p.NumVars() && len(rows) <= len(s.p.Constraints) {
-			if s.kind == KernelSparse {
-				sp := newSparse(s.p, s.opts)
-				if sol, ok := sp.solveFrom(rows, flips); ok {
-					return sol, nil
-				}
-				wasted = sp.pivots
-			} else {
-				t := newTableauArena(s.p, s.opts, s.ar)
-				if sol, ok := t.solveFrom(s.p, rows, flips); ok {
-					return sol, nil
-				}
-				wasted = t.pivots // restore/dual pivots spent before the rejection
-			}
-		}
-	}
-	sol, err := s.Solve()
-	// The discarded warm attempt was real work; keep the iteration count
-	// honest so warm-vs-cold pivot comparisons cannot hide rejections.
-	sol.Iterations += wasted
-	return sol, err
-}
-
-// Solve minimizes the problem with the selected kernel (Options.Kernel,
-// else the process default, else RENTMIN_LP_KERNEL, else dense).
+// Solve minimizes the problem, on the dense tableau when it has at most
+// denseMaxRows constraint rows and on the sparse kernel otherwise.
 func Solve(p *Problem, opts *Options) (Solution, error) {
-	s, err := NewSolver(p, opts)
-	if err != nil {
-		return Solution{}, err
-	}
-	return s.Solve()
+	return solveKernel(p, nil, opts, kernelFor(len(p.Constraints)))
 }
 
 // SolveFrom re-optimizes p starting from a basis snapshotted on a related
 // problem: same structural variables, constraint rows that extend the
 // snapshot's rows (identical prefix, new rows appended, right-hand sides
 // free to move), and variable bounds free to move — the branch-and-bound
-// child shape of one tightened bound included. Rejected warm starts fall
-// back transparently to the cold two-phase Solve; Solution.Warm reports
-// which path produced the result.
+// child shape of one tightened bound included. The kernel is picked as
+// in Solve. Rejected warm starts (nil or mismatched snapshot, a singular
+// restore, lost dual feasibility, or an iteration limit) fall back
+// transparently to the cold two-phase Solve; Solution.Warm reports which
+// path produced the result, and the pivots a rejected warm attempt spent
+// are folded into Iterations so warm-vs-cold comparisons stay honest.
 func SolveFrom(p *Problem, b BasisSnapshot, opts *Options) (Solution, error) {
-	s, err := NewSolver(p, opts)
-	if err != nil {
+	return solveKernel(p, b, opts, kernelFor(len(p.Constraints)))
+}
+
+// solveKernel is SolveFrom (Solve when b is nil) on kernel k; tests call
+// it to force each kernel.
+func solveKernel(p *Problem, b BasisSnapshot, opts *Options, k Kernel) (Solution, error) {
+	if err := p.Validate(); err != nil {
 		return Solution{}, err
 	}
-	return s.SolveFrom(b)
+	wasted := 0
+	if b != nil {
+		rows, flips, n := b.data()
+		if n == p.NumVars() && len(rows) <= len(p.Constraints) {
+			var sol Solution
+			var ok bool
+			if k == KernelSparse {
+				sp := newSparse(p, opts)
+				sol, ok = sp.solveFrom(rows, flips)
+				wasted = sp.pivots
+			} else {
+				t := newTableau(p, opts)
+				sol, ok = t.solveFrom(p, rows, flips)
+				wasted = t.pivots // restore/dual pivots spent before the rejection
+			}
+			if ok {
+				sol.Kernel = k
+				return sol, nil
+			}
+		}
+	}
+	var sol Solution
+	var err error
+	if k == KernelSparse {
+		sol, err = newSparse(p, opts).solve()
+	} else {
+		sol, err = newTableau(p, opts).solve(p)
+	}
+	sol.Kernel = k
+	sol.Iterations += wasted
+	return sol, err
 }
 
 // snapOrNil converts a possibly-nil *Basis into a BasisSnapshot without

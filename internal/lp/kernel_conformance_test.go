@@ -6,11 +6,11 @@ import (
 )
 
 // Kernel conformance suite: one shared case table, every case solved by
-// both pivot kernels through the same public Solver API. The kernels are
-// independent implementations (dense tableau vs. factorized revised
-// simplex), so agreement on statuses, objectives and feasibility across
-// degenerate, bounded, fixed and infeasible shapes is the contract that
-// makes Options.Kernel a free choice.
+// both pivot kernels (forced through solveKernel, whatever the row-count
+// rule would pick). The kernels are independent implementations (dense
+// tableau vs. factorized revised simplex), so agreement on statuses,
+// objectives and feasibility across degenerate, bounded, fixed and
+// infeasible shapes is the contract that lets the rule pick either one.
 
 type conformanceCase struct {
 	name   string
@@ -164,18 +164,21 @@ func conformanceCases() []conformanceCase {
 	}
 }
 
-func kernelsUnderTest() []KernelKind { return []KernelKind{KernelDense, KernelSparse} }
+func kernelsUnderTest() []Kernel { return []Kernel{KernelDense, KernelSparse} }
 
 func TestKernelConformance(t *testing.T) {
 	for _, tc := range conformanceCases() {
 		for _, k := range kernelsUnderTest() {
 			t.Run(tc.name+"/"+k.String(), func(t *testing.T) {
-				sol, err := Solve(tc.p, &Options{Kernel: k})
+				sol, err := solveKernel(tc.p, nil, nil, k)
 				if err != nil {
 					t.Fatalf("Solve: %v", err)
 				}
 				if sol.Status != tc.status {
 					t.Fatalf("status = %v, want %v", sol.Status, tc.status)
+				}
+				if sol.Kernel != k {
+					t.Fatalf("solved on %v, want %v", sol.Kernel, k)
 				}
 				if tc.status != Optimal {
 					return
@@ -242,11 +245,11 @@ func TestKernelsAgreeOnDuals(t *testing.T) {
 			{Coeffs: []float64{1, 0, 2}, Rel: GE, RHS: 4},
 		},
 	}
-	dense, err := Solve(p, &Options{Kernel: KernelDense})
+	dense, err := solveKernel(p, nil, nil, KernelDense)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := Solve(p, &Options{Kernel: KernelSparse})
+	sparse, err := solveKernel(p, nil, nil, KernelSparse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +279,7 @@ func TestCrossKernelWarmStart(t *testing.T) {
 	child.SetBounds(2, 0, 3) // cap z below its relaxed value
 
 	for _, from := range kernelsUnderTest() {
-		parent, err := Solve(base, &Options{Kernel: from})
+		parent, err := solveKernel(base, nil, nil, from)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,11 +290,11 @@ func TestCrossKernelWarmStart(t *testing.T) {
 			t.Fatalf("snapshot reports kernel %v, want %v", got, from)
 		}
 		for _, to := range kernelsUnderTest() {
-			cold, err := Solve(child, &Options{Kernel: to})
+			cold, err := solveKernel(child, nil, nil, to)
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := SolveFrom(child, parent.Basis, &Options{Kernel: to})
+			warm, err := solveKernel(child, parent.Basis, nil, to)
 			if err != nil {
 				t.Fatalf("%v->%v SolveFrom: %v", from, to, err)
 			}
@@ -325,16 +328,16 @@ func TestCrossKernelWarmStartAppendedRows(t *testing.T) {
 		Coeffs: []float64{0, 0, 1}, Rel: LE, RHS: 3,
 	})
 	for _, from := range kernelsUnderTest() {
-		parent, err := Solve(base, &Options{Kernel: from})
+		parent, err := solveKernel(base, nil, nil, from)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, to := range kernelsUnderTest() {
-			cold, err := Solve(child, &Options{Kernel: to})
+			cold, err := solveKernel(child, nil, nil, to)
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := SolveFrom(child, parent.Basis, &Options{Kernel: to})
+			warm, err := solveKernel(child, parent.Basis, nil, to)
 			if err != nil {
 				t.Fatalf("%v->%v SolveFrom: %v", from, to, err)
 			}
@@ -345,31 +348,32 @@ func TestCrossKernelWarmStartAppendedRows(t *testing.T) {
 	}
 }
 
-// TestKernelResolution pins the Options > process-default resolution
-// order of Options.kernel (the env var layer is covered by the CI kernel
-// matrix, which runs this whole suite under RENTMIN_LP_KERNEL=sparse).
+// TestKernelResolution pins the kernel rule at its threshold: Solve and
+// SolveFrom run the dense tableau on a 12-row LP and the sparse kernel on
+// a 13-row one, and Solution.Kernel reports the kernel that ran.
 func TestKernelResolution(t *testing.T) {
-	old := KernelKind(defaultKernel.Load())
-	defer defaultKernel.Store(int32(old))
-
-	SetDefaultKernel(KernelSparse)
-	if got := (&Options{}).kernel(); got != KernelSparse {
-		t.Errorf("process default ignored: got %v", got)
-	}
-	if got := (&Options{Kernel: KernelDense}).kernel(); got != KernelDense {
-		t.Errorf("Options.Kernel did not override the process default: got %v", got)
-	}
-	SetDefaultKernel(KernelAuto)
-
-	if _, err := ParseKernel("nope"); err == nil {
-		t.Error("ParseKernel accepted an unknown kernel name")
-	}
-	for name, want := range map[string]KernelKind{
-		"": KernelAuto, "auto": KernelAuto, "dense": KernelDense, "sparse": KernelSparse,
-	} {
-		got, err := ParseKernel(name)
-		if err != nil || got != want {
-			t.Errorf("ParseKernel(%q) = %v, %v; want %v", name, got, err, want)
+	for _, tc := range []struct {
+		rows int
+		want Kernel
+	}{{denseMaxRows, KernelDense}, {denseMaxRows + 1, KernelSparse}} {
+		// min Σx s.t. x_0 + x_1 >= i+1 for every row i: optimum rows.
+		p := &Problem{Objective: []float64{1, 1}}
+		for i := 0; i < tc.rows; i++ {
+			p.Constraints = append(p.Constraints, Constraint{Coeffs: []float64{1, 1}, Rel: GE, RHS: float64(i + 1)})
+		}
+		if got := kernelFor(tc.rows); got != tc.want {
+			t.Errorf("kernelFor(%d) = %v, want %v", tc.rows, got, tc.want)
+		}
+		cold, err := Solve(p, nil)
+		if err != nil || cold.Status != Optimal || math.Abs(cold.Objective-float64(tc.rows)) > 1e-9 {
+			t.Fatalf("%d rows: Solve = %v, %v obj %g", tc.rows, err, cold.Status, cold.Objective)
+		}
+		if cold.Kernel != tc.want || cold.Basis.Kernel() != tc.want {
+			t.Errorf("%d rows: Solve ran %v (snapshot %v), want %v", tc.rows, cold.Kernel, cold.Basis.Kernel(), tc.want)
+		}
+		warm, err := SolveFrom(p, cold.Basis, nil)
+		if err != nil || warm.Kernel != tc.want || !warm.Warm {
+			t.Errorf("%d rows: SolveFrom ran %v (warm %v, err %v), want a warm %v", tc.rows, warm.Kernel, warm.Warm, err, tc.want)
 		}
 	}
 }

@@ -229,6 +229,9 @@ type Solution struct {
 	// dual-simplex path; false means a cold two-phase solve produced it
 	// (including SolveFrom calls that fell back).
 	Warm bool
+	// Kernel is the pivot kernel that produced the solution, picked from
+	// the problem's constraint-row count (see Solve).
+	Kernel Kernel
 }
 
 // Options tunes the solver.
@@ -239,10 +242,6 @@ type Options struct {
 	// MaxIter caps the total number of pivots. Zero picks a size-based
 	// default.
 	MaxIter int
-	// Kernel selects the pivot-kernel implementation. KernelAuto (the
-	// zero value) resolves to the process default (SetDefaultKernel),
-	// then the RENTMIN_LP_KERNEL environment variable, then KernelDense.
-	Kernel KernelKind
 }
 
 func (o *Options) tol() float64 {

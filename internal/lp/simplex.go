@@ -39,41 +39,14 @@ type tableau struct {
 	shift     []float64 // per structural column: the variable's lower bound (nil when all zero)
 	cap       []float64 // per column: upper bound minus lower bound (+inf when unbounded above)
 	flipped   []bool    // per column: complemented (counts down from its upper bound)
-	ar        *arena    // optional scratch arena the tableau was carved from
 }
 
 // newTableau builds the initial tableau with slack and artificial columns
 // and a feasible starting basis for phase 1: every structural variable at
 // its lower bound, slacks basic on LE rows, artificials basic elsewhere.
 func newTableau(p *Problem, opts *Options) *tableau {
-	return newTableauArena(p, opts, nil)
-}
-
-// newTableauArena is newTableau with the per-solve state carved from a
-// reusable arena (nil falls back to plain allocation). SolveGomory's cut
-// loop passes one arena across rounds so re-solving a grown problem does
-// not reallocate the tableau.
-func newTableauArena(p *Problem, opts *Options, ar *arena) *tableau {
 	m := len(p.Constraints)
 	n := p.NumVars()
-	mkF := func(k int) []float64 {
-		if ar != nil {
-			return ar.floats(k)
-		}
-		return make([]float64, k)
-	}
-	mkI := func(k int) []int {
-		if ar != nil {
-			return ar.ints(k)
-		}
-		return make([]int, k)
-	}
-	mkB := func(k int) []bool {
-		if ar != nil {
-			return ar.bools(k)
-		}
-		return make([]bool, k)
-	}
 
 	// Shift structural variables to their lower bounds. adjRHS[i] is row
 	// i's right-hand side in shifted coordinates, computed once and used
@@ -86,7 +59,7 @@ func newTableauArena(p *Problem, opts *Options, ar *arena) *tableau {
 			objBase += p.Objective[j] * lo
 		}
 	}
-	adjRHS := mkF(m)
+	adjRHS := make([]float64, m)
 	for i := range p.Constraints {
 		c := &p.Constraints[i]
 		rhs := c.RHS
@@ -122,18 +95,17 @@ func newTableauArena(p *Problem, opts *Options, ar *arena) *tableau {
 		artStart:  n + numSlack,
 		tol:       opts.tol(),
 		maxIter:   opts.maxIter(m, n),
-		basis:     mkI(m),
-		obj:       mkF(n + numSlack + numArt), // zero objective until setObjective (pivots may run first during a basis restore)
+		basis:     make([]int, m),
+		obj:       make([]float64, n+numSlack+numArt), // zero objective until setObjective (pivots may run first during a basis restore)
 		objBase:   objBase,
-		rhs:       mkF(m),
-		redundant: mkB(m),
-		rowAux:    mkI(m),
-		rowAuxNeg: mkB(m),
-		rowFlip:   mkB(m),
+		rhs:       make([]float64, m),
+		redundant: make([]bool, m),
+		rowAux:    make([]int, m),
+		rowAuxNeg: make([]bool, m),
+		rowFlip:   make([]bool, m),
 		shift:     shift,
-		cap:       mkF(n + numSlack + numArt),
-		flipped:   mkB(n + numSlack + numArt),
-		ar:        ar,
+		cap:       make([]float64, n+numSlack+numArt),
+		flipped:   make([]bool, n+numSlack+numArt),
 	}
 	for j := range t.cap {
 		t.cap[j] = math.Inf(1)
@@ -147,15 +119,11 @@ func newTableauArena(p *Problem, opts *Options, ar *arena) *tableau {
 			t.cap[j] = hi - lo
 		}
 	}
-	// All rows live in one backing arena: a single allocation per tableau
+	// All rows live in one backing slice: a single allocation per tableau
 	// keeps the pivot loops cache-friendly and makes every solve's mutable
 	// state private to that solve (workers never share tableau memory).
-	backing := mkF(m * t.total)
-	if ar != nil {
-		t.a = ar.rowSlice(m)
-	} else {
-		t.a = make([][]float64, m)
-	}
+	backing := make([]float64, m*t.total)
+	t.a = make([][]float64, m)
 	slackCol := n
 	artCol := t.artStart
 	for i := range p.Constraints {
@@ -504,12 +472,7 @@ func (t *tableau) withinBounds(slack float64) bool {
 func (t *tableau) solve(p *Problem) (Solution, error) {
 	if t.artStart < t.total {
 		// Phase 1: minimize the sum of artificial variables.
-		var phase1 []float64
-		if t.ar != nil {
-			phase1 = t.ar.floats(t.total)
-		} else {
-			phase1 = make([]float64, t.total)
-		}
+		phase1 := make([]float64, t.total)
 		for j := t.artStart; j < t.total; j++ {
 			phase1[j] = 1
 		}

@@ -612,7 +612,7 @@ type FactorizedBasis struct {
 func (b *FactorizedBasis) Rows() int { return len(b.rows) }
 
 // Kernel implements BasisSnapshot: the sparse revised-simplex kernel.
-func (b *FactorizedBasis) Kernel() KernelKind { return KernelSparse }
+func (b *FactorizedBasis) Kernel() Kernel { return KernelSparse }
 
 // data implements BasisSnapshot (nil-safe).
 func (b *FactorizedBasis) data() ([]int32, []int32, int) {

@@ -17,7 +17,7 @@ import (
 // transparent-fallback contract.
 //
 // The kernels byte picks the snapshotting and restoring pivot kernels
-// independently (2 bits each), so the fuzzer also drives every
+// independently (1 bit each, overriding the row-count rule), so the fuzzer also drives every
 // cross-kernel snapshot/restore combination through the neutral basis
 // encoding.
 func FuzzSolveFrom(f *testing.F) {
@@ -29,11 +29,10 @@ func FuzzSolveFrom(f *testing.F) {
 		if math.IsNaN(delta) || math.IsInf(delta, 0) {
 			return
 		}
-		fromOpts := &Options{Kernel: KernelKind(1 + kernels%2)}
-		toOpts := &Options{Kernel: KernelKind(1 + (kernels>>1)%2)}
+		from, to := Kernel(kernels%2), Kernel((kernels>>1)%2)
 		r := rand.New(rand.NewSource(int64(seed)))
 		p := randomCoverLP(r, 2+r.Intn(6), 1+r.Intn(5))
-		parent, err := Solve(p, fromOpts)
+		parent, err := solveKernel(p, nil, nil, from)
 		if err != nil {
 			t.Fatalf("base Solve: %v", err)
 		}
@@ -68,11 +67,11 @@ func FuzzSolveFrom(f *testing.F) {
 			q.SetBounds(j, lo, hi)
 		}
 
-		warm, err := SolveFrom(q, parent.Basis, toOpts)
+		warm, err := solveKernel(q, parent.Basis, nil, to)
 		if err != nil {
 			t.Fatalf("SolveFrom: %v", err)
 		}
-		cold, err := Solve(q, toOpts)
+		cold, err := solveKernel(q, nil, nil, to)
 		if err != nil {
 			t.Fatalf("cold Solve: %v", err)
 		}

@@ -23,8 +23,8 @@
 //     fallback whenever a restore is rejected (see Options.DisableWarmLP
 //     to switch the path off). The basis travels as an opaque
 //     lp.BasisSnapshot, so the search never touches simplex internals and
-//     works unchanged over either LP pivot kernel (select one with
-//     Options.LP → lp.Options.Kernel);
+//     works unchanged over either LP pivot kernel (package lp picks one
+//     from the LP's row count; Result.LPKernel reports it);
 //   - parallel search: the best-bound frontier is expanded in rounds of
 //     up to Options.Workers nodes, and every child LP relaxation of the
 //     round — including all strong-branching candidates — solves
@@ -126,20 +126,14 @@ type Options struct {
 	Rounder Rounder
 	// IntTol is the integrality tolerance; zero means 1e-6.
 	IntTol float64
-	// RootCutRounds enables Gomory fractional cutting planes at the root
-	// node for up to this many rounds. Requires a pure integer program
-	// with integral constraint data (see lp.SolveGomory); the caller is
-	// responsible for that contract. Zero disables cuts.
-	RootCutRounds int
 	// Presolve runs the root reduction pass (bound tightening, fixing,
 	// row/column elimination, coefficient reduction — see presolve.go)
 	// before branch and bound, searching the reduced problem and lifting
 	// the optimum back through the postsolve map. When an Incumbent is
 	// supplied, its objective feeds presolve as a cutoff, which is what
 	// gives the recipe model's default-bound formulation finite bounds to
-	// propagate. Combined with RootCutRounds it also enables a round of
-	// Chvátal–Gomory rounding cuts on the reduced rows (see cuts.go). The
-	// reported optimum is identical with and without presolve.
+	// propagate. The reported optimum is identical with and without
+	// presolve.
 	Presolve bool
 	// StrongBranch evaluates both children of up to this many fractional
 	// candidates at every node and branches on the variable whose worse
@@ -164,10 +158,7 @@ type Options struct {
 	// snapshot taken by an earlier solve of a similar problem (online
 	// re-optimization: a session hands the previous solve's Result.RootBasis
 	// back in after mutating the problem). A snapshot that no longer fits
-	// falls back to a cold solve transparently inside lp.SolveFrom. A
-	// seeded root skips RootCutRounds: keeping the root's row set
-	// identical across re-solves is what lets the NEXT solve restore this
-	// one's basis, and cut generation needs a cut-free root anyway.
+	// falls back to a cold solve transparently inside lp.SolveFrom.
 	// Ignored under DisableWarmLP.
 	RootBasis lp.BasisSnapshot
 	// OnIncumbent, when set, is invoked every time the search accepts a
@@ -181,8 +172,6 @@ type Options struct {
 	// a fixed worker count, and a nil hook costs a single pointer check
 	// per round — nothing on the node-expansion hot path.
 	OnRound func(RoundInfo)
-	// LP tunes the inner simplex solver.
-	LP *lp.Options
 }
 
 // RoundInfo snapshots the branch-and-bound search at the end of one
@@ -220,13 +209,11 @@ type Result struct {
 	Objective float64   // incumbent objective
 	Bound     float64   // proven lower bound on the optimum
 	Nodes     int       // explored branch-and-bound nodes
-	Cuts      int       // cutting planes added at the root (Gomory + CG rounding)
-	CutRounds int       // root cut-generation rounds performed
 	Elapsed   time.Duration
 	// Presolve counts the root reductions applied (all zero when
-	// Options.Presolve is off). Like Cuts and CutRounds it is computed on
-	// the coordinator before the parallel search starts, so it is
-	// identical for every worker count.
+	// Options.Presolve is off). It is computed on the coordinator before
+	// the parallel search starts, so it is identical for every worker
+	// count.
 	Presolve PresolveStats
 	// Gap is (Objective-Bound)/max(1,|Objective|); zero when optimal.
 	Gap float64
@@ -253,14 +240,19 @@ type Result struct {
 	// later re-solve of a mutated problem via Options.RootBasis. Nil when
 	// no root LP ran (presolve finished the solve outright, or the root
 	// was infeasible/unbounded). The snapshot belongs to the problem the
-	// tree actually searched — under presolve, the reduced problem; with
-	// root cuts, the cut-augmented rows — so a restore onto a different
-	// shape simply falls back cold inside lp.SolveFrom.
+	// tree actually searched — under presolve, the reduced problem — so a
+	// restore onto a different shape simply falls back cold inside
+	// lp.SolveFrom.
 	RootBasis lp.BasisSnapshot
 	// RootLPWarm reports whether the root relaxation really restored the
 	// caller-supplied Options.RootBasis (false when it solved cold or the
 	// restore was rejected and fell back).
 	RootLPWarm bool
+	// LPKernel names the pivot kernel ("dense" or "sparse") that package
+	// lp picked for the LP the search ran: every node LP shares the
+	// root's rows, so one kernel solves them all. Empty when no LP ran
+	// (presolve finished the solve outright).
+	LPKernel string
 }
 
 // node is one branch-and-bound subproblem, defined by variable bounds.
@@ -309,10 +301,10 @@ func Solve(p *Problem, opts *Options) (Result, error) {
 // returned with Status Feasible (or NoSolution when none exists) and the
 // tightest proven bound. Granularity: cancellation is observed before the
 // root solve, before every child LP, and between merges — but not inside
-// a single simplex solve, so the root relaxation (including its Gomory
-// cut rounds) finishes once started. The exact stopping point depends on
-// when the cancellation lands, so — unlike a fixed worker count with no
-// limits — a cancelled run is not reproducible.
+// a single simplex solve, so the root relaxation finishes once started.
+// The exact stopping point depends on when the cancellation lands, so —
+// unlike a fixed worker count with no limits — a cancelled run is not
+// reproducible.
 func SolveContext(ctx context.Context, p *Problem, opts *Options) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -323,9 +315,8 @@ func SolveContext(ctx context.Context, p *Problem, opts *Options) (Result, error
 
 type solver struct {
 	p     *Problem
-	work  *Problem    // problem the tree searches: p, or its presolve reduction
-	red   *Reduced    // postsolve map (nil when presolve is off or reduced nothing)
-	base  *lp.Problem // work's LP plus root cuts
+	work  *Problem // problem the tree searches: p, or its presolve reduction
+	red   *Reduced // postsolve map (nil when presolve is off or reduced nothing)
 	ctx   context.Context
 	opts  *Options
 	start time.Time
@@ -353,16 +344,15 @@ type solver struct {
 	warmLP  atomic.Int64
 	coldLP  atomic.Int64
 
-	nodes     int
-	cuts      int
-	cutRounds int
-	presolve  PresolveStats
-	seq       int
-	wasted    int // speculative child LP solves of mid-round-pruned nodes
+	nodes    int
+	presolve PresolveStats
+	seq      int
+	wasted   int // speculative child LP solves of mid-round-pruned nodes
 
 	// Root relaxation outcome, exported for re-optimization chains.
 	rootBasis lp.BasisSnapshot
 	rootWarm  bool
+	lpKernel  string
 }
 
 var errLimit = errors.New("milp: limit reached")
@@ -381,9 +371,9 @@ func (s *solver) run() (Result, error) {
 	}
 
 	// An already-cancelled search must not pay for the root relaxation —
-	// on large instances the root solve plus Gomory cut rounds is the
-	// most expensive single LP phase, and it runs as one uninterruptible
-	// block (no proven bound exists yet, hence the -inf).
+	// on large instances the root solve is the most expensive single LP
+	// phase, and it runs as one uninterruptible block (no proven bound
+	// exists yet, hence the -inf).
 	if s.cancelled() {
 		return s.limitResult(math.Inf(-1)), nil
 	}
@@ -393,25 +383,16 @@ func (s *solver) run() (Result, error) {
 			return res, nil
 		}
 	}
-	s.base = &s.work.LP
-
-	root := &node{prob: s.base}
+	root := &node{prob: &s.work.LP}
 	var rootSeed lp.BasisSnapshot
-	if s.opts != nil && !s.opts.DisableWarmLP {
+	if s.opts != nil {
 		rootSeed = s.opts.RootBasis
 	}
-	var st lp.Status
-	var err error
-	if rootSeed != nil {
-		st, err = s.solveRelax(root, rootSeed)
-	} else if s.opts != nil && s.opts.RootCutRounds > 0 {
-		st, err = s.solveRootWithCuts(root)
-	} else {
-		st, err = s.solveRelax(root, nil)
-	}
+	st, err := s.solveRelax(root, rootSeed)
 	if err != nil {
 		return Result{}, err
 	}
+	s.lpKernel = root.relax.Kernel.String()
 	if st == lp.Optimal {
 		s.rootBasis = root.relax.Basis
 		s.rootWarm = root.relax.Warm
@@ -685,90 +666,15 @@ func (s *solver) pruned(bound float64) bool {
 	return bound >= s.bestObj-1e-9
 }
 
-// solveRootWithCuts strengthens the root relaxation with Gomory rounds
-// (plus, under presolve, one round of Chvátal–Gomory rounding cuts); the
-// generated cuts are valid globally and shared by every node.
-func (s *solver) solveRootWithCuts(root *node) (lp.Status, error) {
-	var lpOpts *lp.Options
-	if s.opts != nil {
-		lpOpts = s.opts.LP
-	}
-	gr, err := lp.SolveGomory(&s.work.LP, lpOpts, s.opts.RootCutRounds)
-	if err != nil {
-		return 0, err
-	}
-	if len(gr.Cuts) > 0 {
-		base := s.work.LP.Clone()
-		base.Constraints = append(base.Constraints, gr.Cuts...)
-		s.base = base
-		s.cuts = len(gr.Cuts)
-	}
-	s.cutRounds = gr.Rounds
-	// The Gomory solution (and its basis) belongs to the cut-augmented
-	// problem, which is exactly the node's LP from here on.
-	root.prob = s.base
-	root.relax = gr.Solution
-	root.bound = gr.Solution.Objective + s.objOff
-	s.countLP(gr.Solution)
-	if s.opts.Presolve && gr.Solution.Status == lp.Optimal {
-		s.addCGCuts(root, lpOpts)
-	}
-	return root.relax.Status, nil
-}
-
-// addCGCuts runs one Chvátal–Gomory rounding round on the root: separate
-// cuts violated at the current root point (over the problem rows plus,
-// when an incumbent exists, the objective-cutoff row) and re-solve. The
-// augmented relaxation replaces the root only when it solves to
-// optimality; anything else discards the CG cuts and keeps the Gomory
-// root untouched — a cut round must never make the solve worse.
-func (s *solver) addCGCuts(root *node, lpOpts *lp.Options) {
-	var extra []lp.Constraint
-	if s.hasBest {
-		extra = append(extra, lp.Constraint{
-			Coeffs: s.work.LP.Objective,
-			Rel:    lp.LE,
-			RHS:    s.bestObj - s.objOff,
-		})
-	}
-	cgs := cgCuts(s.work, extra, root.relax.X)
-	if len(cgs) == 0 {
-		return
-	}
-	trial := s.base.Clone()
-	trial.Constraints = append(trial.Constraints, cgs...)
-	sol, err := lp.Solve(trial, lpOpts)
-	if err != nil || sol.Status != lp.Optimal {
-		return
-	}
-	s.countLP(sol)
-	s.base = trial
-	s.cuts += len(cgs)
-	s.cutRounds++
-	root.prob = s.base
-	root.relax = sol
-	root.bound = sol.Objective + s.objOff
-}
-
 // solveRelax solves the LP relaxation of a node and stores bound/solution.
-// With a parent basis in hand (and warm starts enabled) it re-optimizes
-// via the dual simplex, falling back to a cold solve transparently inside
-// lp.SolveFrom; the root (basis == nil) always solves cold.
+// With a basis in hand (and warm starts enabled) it re-optimizes via the
+// dual simplex, falling back to a cold solve transparently inside
+// lp.SolveFrom; with basis == nil (an unseeded root) it solves cold.
 func (s *solver) solveRelax(n *node, basis lp.BasisSnapshot) (lp.Status, error) {
-	var lpOpts *lp.Options
-	if s.opts != nil {
-		lpOpts = s.opts.LP
-		if s.opts.DisableWarmLP {
-			basis = nil
-		}
+	if s.opts != nil && s.opts.DisableWarmLP {
+		basis = nil
 	}
-	var sol lp.Solution
-	var err error
-	if basis != nil {
-		sol, err = lp.SolveFrom(n.prob, basis, lpOpts)
-	} else {
-		sol, err = lp.Solve(n.prob, lpOpts)
-	}
+	sol, err := lp.SolveFrom(n.prob, basis, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -920,8 +826,6 @@ func (s *solver) result(st Status) Result {
 	r := Result{
 		Status:         st,
 		Nodes:          s.nodes,
-		Cuts:           s.cuts,
-		CutRounds:      s.cutRounds,
 		Presolve:       s.presolve,
 		Elapsed:        time.Since(s.start),
 		LPIterations:   int(s.lpIters.Load()),
@@ -930,6 +834,7 @@ func (s *solver) result(st Status) Result {
 		WastedLPSolves: s.wasted,
 		RootBasis:      s.rootBasis,
 		RootLPWarm:     s.rootWarm,
+		LPKernel:       s.lpKernel,
 	}
 	if s.hasBest {
 		r.X = s.bestX

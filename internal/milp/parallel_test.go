@@ -16,8 +16,8 @@ import (
 var workerCounts = []int{1, 2, 8}
 
 // hardCoverMILP builds an integer covering problem whose branch-and-bound
-// tree is deep enough to keep a frontier of several nodes alive (no cuts,
-// no strong branching, fractional optimum far from integral points).
+// tree is deep enough to keep a frontier of several nodes alive (no
+// strong branching, fractional optimum far from integral points).
 func hardCoverMILP(n int, seed int64) *Problem {
 	r := rand.New(rand.NewSource(seed))
 	p := &Problem{
@@ -104,7 +104,7 @@ func TestParallelQuickAgainstBruteForce(t *testing.T) {
 			for _, opts := range []*Options{
 				{Workers: w},
 				{Workers: w, StrongBranch: 4},
-				{Workers: w, IntegralObjective: true, Rounder: rounder, RootCutRounds: 4},
+				{Workers: w, IntegralObjective: true, Rounder: rounder},
 			} {
 				res, err := Solve(p, opts)
 				if err != nil || res.Status != Optimal {

@@ -14,9 +14,9 @@ import (
 // solve — same status, same optimal objective within tolerance — and its
 // lifted incumbent must be feasible for the ORIGINAL problem under the
 // solver's own feasibility checker. The cfg byte toggles the surrounding
-// machinery (root cuts, integral-objective pruning, parallel workers, a
+// machinery (box bounds, integral-objective pruning, parallel workers, a
 // warm-start incumbent feeding the cutoff row), so the fuzzer also drives
-// the phantom-cutoff and CG-cut paths.
+// the phantom-cutoff path. Bit 1 is unused.
 //
 // Unbounded outcomes are skipped: when the LP relaxation is unbounded the
 // direct solve reports Unbounded, while presolve may legitimately prove
@@ -66,11 +66,6 @@ func FuzzPresolve(f *testing.F) {
 		}
 
 		opts := Options{}
-		if cfg&1 != 0 && allInt(p) {
-			// Gomory root cuts are only valid on pure integer programs
-			// (SolveGomory's documented contract, owned by the caller).
-			opts.RootCutRounds = 4
-		}
 		if cfg&2 != 0 {
 			opts.IntegralObjective = allInt(p)
 		}

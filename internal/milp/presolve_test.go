@@ -458,8 +458,8 @@ func TestPresolveEquivalenceFixedInstances(t *testing.T) {
 			Integer: []bool{false, true},
 		}, nil},
 		{"cover4", coverProblem(), nil},
-		{"cover4-cuts", coverProblem(), &Options{RootCutRounds: 8}},
-		{"cover4-warm", coverProblem(), &Options{Incumbent: []float64{7, 0, 5, 0}, RootCutRounds: 8, Rounder: rounder}},
+		{"cover4-zero-opts", coverProblem(), &Options{}},
+		{"cover4-warm", coverProblem(), &Options{Incumbent: []float64{7, 0, 5, 0}, Rounder: rounder}},
 	}
 	for _, tc := range cases {
 		plain := solveOK(t, tc.p, tc.opts)
@@ -487,7 +487,7 @@ func TestPresolveEquivalenceFixedInstances(t *testing.T) {
 }
 
 // Property: presolve -> solve -> postsolve matches brute force on random
-// covering MILPs, with and without cuts and incumbent warm starts.
+// covering MILPs, with and without strong branching and integral pruning.
 func TestQuickPresolveMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -495,7 +495,7 @@ func TestQuickPresolveMatchesBruteForce(t *testing.T) {
 		want := bruteForceCover(p)
 		for _, opts := range []*Options{
 			{Presolve: true},
-			{Presolve: true, RootCutRounds: 6},
+			{Presolve: true, StrongBranch: 4},
 			{Presolve: true, IntegralObjective: true},
 		} {
 			res, err := Solve(p, opts)
@@ -519,28 +519,25 @@ func TestQuickPresolveMatchesBruteForce(t *testing.T) {
 
 // --- determinism --------------------------------------------------------------
 
-// TestPresolveCountersDeterministic pins the PR's determinism contract:
-// presolve reductions and root cut counters are computed on the
-// coordinator before any parallel search starts, so they are identical
-// run-to-run and across worker counts.
+// TestPresolveCountersDeterministic pins the determinism contract:
+// presolve reductions are computed on the coordinator before any
+// parallel search starts, so they are identical run-to-run and across
+// worker counts.
 func TestPresolveCountersDeterministic(t *testing.T) {
 	type counters struct {
 		stats     PresolveStats
-		cuts      int
-		cutRounds int
 		objective float64
 	}
 	capture := func(workers int) counters {
 		res := solveOK(t, coverProblem(), &Options{
-			Presolve:      true,
-			RootCutRounds: 8,
-			Workers:       workers,
-			Incumbent:     []float64{7, 0, 5, 0},
+			Presolve:  true,
+			Workers:   workers,
+			Incumbent: []float64{7, 0, 5, 0},
 		})
 		if res.Status != Optimal {
 			t.Fatalf("workers=%d: status %v", workers, res.Status)
 		}
-		return counters{res.Presolve, res.Cuts, res.CutRounds, res.Objective}
+		return counters{res.Presolve, res.Objective}
 	}
 	ref := capture(1)
 	for _, workers := range []int{1, 2, 8} {

@@ -49,14 +49,10 @@ func TestRootBasisReuse(t *testing.T) {
 	}
 }
 
-// A seeded root skips cut rounds (the row set must stay restorable), and
-// DisableWarmLP must ignore the seed entirely.
-func TestRootBasisSeedSkipsCutsAndDisableWarm(t *testing.T) {
-	first := solveOK(t, rootBasisProblem(), &Options{RootCutRounds: 4})
-	seeded := solveOK(t, rootBasisProblem(), &Options{RootCutRounds: 4, RootBasis: first.RootBasis})
-	if seeded.CutRounds != 0 {
-		t.Errorf("seeded root ran %d cut rounds, want 0", seeded.CutRounds)
-	}
+// DisableWarmLP must ignore a root seed entirely.
+func TestRootBasisSeedAndDisableWarm(t *testing.T) {
+	first := solveOK(t, rootBasisProblem(), nil)
+	seeded := solveOK(t, rootBasisProblem(), &Options{RootBasis: first.RootBasis})
 	if seeded.Objective != first.Objective {
 		t.Errorf("seeded objective %g != %g", seeded.Objective, first.Objective)
 	}
@@ -87,5 +83,37 @@ func TestRootBasisShapeMismatchFallsBackCold(t *testing.T) {
 	wantOptimal(t, res, 2)
 	if res.RootLPWarm {
 		t.Error("shape-mismatched basis reported a warm root")
+	}
+}
+
+// Result.LPKernel names the kernel package lp picked for the search's LP
+// from its row count, and stays empty when presolve settles the solve
+// without any LP.
+func TestResultLPKernel(t *testing.T) {
+	if got := solveOK(t, coverProblem(), nil).LPKernel; got != "dense" {
+		t.Errorf("3-row cover: LPKernel %q, want dense", got)
+	}
+	wide := &Problem{LP: lp.Problem{Objective: []float64{1, 1}}, Integer: []bool{true, true}}
+	for i := 1; i <= 13; i++ {
+		wide.LP.Constraints = append(wide.LP.Constraints, lp.Constraint{Coeffs: []float64{1, 2}, Rel: lp.GE, RHS: float64(i) / 2})
+	}
+	res := solveOK(t, wide, nil)
+	wantOptimal(t, res, 4) // binding row x0 + 2·x1 >= 6.5 needs x0 + x1 >= 4
+	if res.LPKernel != "sparse" {
+		t.Errorf("13-row problem: LPKernel %q, want sparse", res.LPKernel)
+	}
+	fixed := &Problem{
+		LP: lp.Problem{
+			Objective:   []float64{1, 1},
+			Constraints: []lp.Constraint{{Coeffs: []float64{1, 1}, Rel: lp.GE, RHS: 4}},
+			Lo:          []float64{2, 3},
+			Hi:          []float64{2, 3},
+		},
+		Integer: []bool{true, true},
+	}
+	res = solveOK(t, fixed, &Options{Presolve: true})
+	wantOptimal(t, res, 5)
+	if res.LPKernel != "" {
+		t.Errorf("presolve-settled solve: LPKernel %q, want empty", res.LPKernel)
 	}
 }

@@ -34,21 +34,7 @@ func TestStrongBranchingSameOptimum(t *testing.T) {
 	}
 }
 
-func TestStrongBranchingWithCuts(t *testing.T) {
-	p := &Problem{
-		LP: lp.Problem{
-			Objective: []float64{-8, -11},
-			Constraints: []lp.Constraint{
-				{Coeffs: []float64{5, 7}, Rel: lp.LE, RHS: 17},
-			},
-		},
-		Integer: []bool{true, true},
-	}
-	res := solveOK(t, p, &Options{StrongBranch: 2, RootCutRounds: 5, IntegralObjective: true})
-	wantOptimal(t, res, -27) // (2,1)
-}
-
-// Property: strong branching, cuts, pruning and rounding in any
+// Property: strong branching, pruning and rounding in any
 // combination agree with plain branch and bound on random covering IPs.
 func TestQuickAllFeaturesAgree(t *testing.T) {
 	rounder := func(x []float64) ([]float64, bool) {
@@ -64,9 +50,9 @@ func TestQuickAllFeaturesAgree(t *testing.T) {
 		want := bruteForceCover(p)
 		for _, opts := range []*Options{
 			{StrongBranch: 4},
-			{StrongBranch: 4, RootCutRounds: 6},
-			{StrongBranch: 4, RootCutRounds: 6, IntegralObjective: true, Rounder: rounder},
-			{RootCutRounds: 6},
+			{StrongBranch: 4, IntegralObjective: true},
+			{StrongBranch: 4, IntegralObjective: true, Rounder: rounder},
+			{},
 		} {
 			res, err := Solve(p, opts)
 			if err != nil || res.Status != Optimal {

@@ -152,9 +152,9 @@ func TestWarmReducesLPIterations(t *testing.T) {
 		warm.WarmLPSolves, warm.ColdLPSolves)
 }
 
-// TestWarmWithAllFeatures exercises warm starts together with cuts,
-// strong branching, rounding and an incumbent seed, cross-checking the
-// optimum against the plain cold configuration.
+// TestWarmWithAllFeatures exercises warm starts together with strong
+// branching and integral pruning at every worker count, cross-checking
+// the optimum against the plain cold configuration.
 func TestWarmWithAllFeatures(t *testing.T) {
 	p := hardCoverMILP(8, 11)
 	base, _ := runTrace(t, p, 1, true)

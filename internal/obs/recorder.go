@@ -49,11 +49,8 @@ type SolveRecord struct {
 	WastedLPSolves int
 	LPKernel       string
 
-	// Root-strengthening counters: cutting planes added, cut-generation
-	// rounds, and presolve reductions (flat ints — obs must not import
-	// the solver packages).
-	Cuts           int
-	CutRounds      int
+	// Presolve reduction counters (flat ints — obs must not import the
+	// solver packages).
 	PresolveRows   int
 	PresolveCols   int
 	PresolveBounds int

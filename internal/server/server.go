@@ -1019,8 +1019,6 @@ func toWireSolution(sol rentmin.Solution) client.Solution {
 		WarmLPSolves:   sol.WarmLPSolves,
 		WastedLPSolves: sol.WastedLPSolves,
 		LPKernel:       sol.LPKernel,
-		Cuts:           sol.Cuts,
-		CutRounds:      sol.CutRounds,
 		ElapsedMs:      float64(sol.Elapsed) / float64(time.Millisecond),
 	}
 	if sol.Presolve != (rentmin.PresolveStats{}) {

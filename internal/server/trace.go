@@ -94,8 +94,6 @@ func solveRecord(traceID, endpoint string, item int, start time.Time, queueWait,
 		WarmLPSolves:   sol.WarmLPSolves,
 		WastedLPSolves: sol.WastedLPSolves,
 		LPKernel:       sol.LPKernel,
-		Cuts:           sol.Cuts,
-		CutRounds:      sol.CutRounds,
 		PresolveRows:   sol.Presolve.RowsRemoved,
 		PresolveCols:   sol.Presolve.ColsFixed,
 		PresolveBounds: sol.Presolve.BoundsTightened,
@@ -126,8 +124,6 @@ func solveStats(traceID string, queueWait, dur time.Duration, sol rentmin.Soluti
 		WarmLPSolves:   sol.WarmLPSolves,
 		ColdLPSolves:   sol.LPSolves - sol.WarmLPSolves,
 		WastedLPSolves: sol.WastedLPSolves,
-		Cuts:           sol.Cuts,
-		CutRounds:      sol.CutRounds,
 	}
 	if sol.Presolve != (rentmin.PresolveStats{}) {
 		ps := client.PresolveStats(sol.Presolve)
@@ -218,8 +214,6 @@ func (s *Server) handleDebugSolves(w http.ResponseWriter, r *http.Request) {
 			WarmLPSolves:   rec.WarmLPSolves,
 			WastedLPSolves: rec.WastedLPSolves,
 			LPKernel:       rec.LPKernel,
-			Cuts:           rec.Cuts,
-			CutRounds:      rec.CutRounds,
 			PresolveRows:   rec.PresolveRows,
 			PresolveCols:   rec.PresolveCols,
 			PresolveBounds: rec.PresolveBounds,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -26,8 +27,9 @@ func TestSolveStatsBlock(t *testing.T) {
 	if !obs.ValidTraceID(st.TraceID) {
 		t.Errorf("stats trace ID %q is not valid", st.TraceID)
 	}
-	if st.LPKernel == "" {
-		t.Error("stats block missing lp_kernel")
+	// The quickstart LP has 5 rows: the dense kernel solves it.
+	if st.LPKernel != "dense" {
+		t.Errorf("stats lp_kernel = %q, want dense", st.LPKernel)
 	}
 	if st.SolveMs <= 0 {
 		t.Errorf("solve_ms = %g, want > 0", st.SolveMs)
@@ -62,6 +64,39 @@ func TestSolveStatsBlock(t *testing.T) {
 	if !sawSolvePhase {
 		t.Errorf("phases %v missing the solve span", st.Phases)
 	}
+
+	// Sixteen types in use make a 17-row LP, past the dense limit: the
+	// stats block, the wire solution and /debug/solves all report sparse.
+	wide, err := c.Solve(context.Background(), wideProblem(), &client.Options{Stats: true})
+	if err != nil {
+		t.Fatalf("Solve wide: %v", err)
+	}
+	if wide.Stats == nil || wide.Stats.LPKernel != "sparse" || wide.LPKernel != "sparse" {
+		t.Errorf("wide instance: lp_kernel %q (stats %+v), want sparse", wide.LPKernel, wide.Stats)
+	}
+	recs, err := c.DebugSolves(context.Background(), 0)
+	if err != nil {
+		t.Fatalf("DebugSolves: %v", err)
+	}
+	if len(recs.Solves) != 2 || recs.Solves[0].LPKernel != "sparse" || recs.Solves[1].LPKernel != "dense" {
+		t.Errorf("/debug/solves kernels: %+v, want sparse (newest) then dense", recs.Solves)
+	}
+}
+
+// wideProblem is a quickstart-sized instance over 16 machine types, every
+// one used by a recipe, so its MILP keeps 17 constraint rows.
+func wideProblem() *rentmin.Problem {
+	p := &rentmin.Problem{Target: 40}
+	p.App.Graphs = []rentmin.Graph{
+		rentmin.NewChain("a", 0, 1, 2, 3, 4, 5),
+		rentmin.NewChain("b", 5, 6, 7, 8, 9, 10),
+		rentmin.NewChain("c", 10, 11, 12, 13, 14, 15),
+	}
+	for q := 0; q < 16; q++ {
+		p.Platform.Machines = append(p.Platform.Machines,
+			rentmin.MachineType{Name: fmt.Sprintf("P%d", q), Throughput: 7 + q%5, Cost: 9 + 3*(q%4)})
+	}
+	return p
 }
 
 func TestStatsOmittedWithoutOptIn(t *testing.T) {

@@ -84,8 +84,6 @@ type Options struct {
 	TimeLimit time.Duration
 	// Workers sets branch-and-bound parallelism per re-solve.
 	Workers int
-	// LPKernel selects the simplex kernel (zero keeps the process default).
-	LPKernel lp.KernelKind
 	// DisablePresolve switches off the root presolve pass.
 	DisablePresolve bool
 	// DisableWarm forces every re-solve cold — no incumbent seed, no
@@ -339,7 +337,6 @@ func (s *Session) resolve(ctx context.Context, work *core.Problem, offline []boo
 	iopts := &solve.ILPOptions{
 		TimeLimit:       s.opts.TimeLimit,
 		Workers:         s.opts.Workers,
-		LPKernel:        s.opts.LPKernel,
 		DisablePresolve: s.opts.DisablePresolve,
 	}
 	if seed != nil && !s.opts.DisableWarm {

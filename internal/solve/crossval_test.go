@@ -30,7 +30,11 @@ import (
 
 // smallGeneratedProblem draws a brute-forceable instance with the paper's
 // generator. Graphs mutate a shared initial recipe, so task types are
-// shared — the general Section V-C case.
+// shared — the general Section V-C case. One draw in four has 13–16
+// types, so its MILP (one row per type plus the target row) is past
+// package lp's 12-row dense limit and the sparse kernel solves it; brute
+// force enumerates graph throughputs, not types, so wide draws stay
+// cheap.
 func smallGeneratedProblem(r *rand.Rand) (*core.Problem, int) {
 	cfg := graphgen.Config{
 		NumGraphs:     2 + r.Intn(3),
@@ -41,6 +45,9 @@ func smallGeneratedProblem(r *rand.Rand) (*core.Problem, int) {
 		CostMin:       1, CostMax: 25,
 		ThroughputMin: 3, ThroughputMax: 15,
 		ExtraEdgeProb: 0.2,
+	}
+	if r.Intn(4) == 0 {
+		cfg.NumTypes = 13 + r.Intn(4)
 	}
 	p, err := graphgen.Generate(cfg, rng.New(r.Uint64()))
 	if err != nil {
@@ -53,9 +60,11 @@ func smallGeneratedProblem(r *rand.Rand) (*core.Problem, int) {
 
 // TestCrossValILPMatchesBruteForce: the general ILP path equals the
 // brute-force optimum on generated instances, for every worker count,
-// warm and cold node LPs, both pivot kernels, and with the root presolve
-// on and off.
+// warm and cold node LPs, and with the root presolve on and off. With
+// presolve off the LP keeps every type row, so the draws must reach both
+// sides of the kernel rule; ILPResult.LPKernel proves they did.
 func TestCrossValILPMatchesBruteForce(t *testing.T) {
+	kernels := map[string]bool{}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p, target := smallGeneratedProblem(r)
@@ -67,21 +76,21 @@ func TestCrossValILPMatchesBruteForce(t *testing.T) {
 			// whichever kernel pivots the relaxations and whether or not
 			// presolve reduced the root.
 			for _, coldLP := range []bool{false, true} {
-				for _, kernel := range []lp.KernelKind{lp.KernelDense, lp.KernelSparse} {
-					for _, noPresolve := range []bool{false, true} {
-						res, err := ILP(m, target, &ILPOptions{
-							Workers: w, DisableLPWarmStart: coldLP,
-							LPKernel: kernel, DisablePresolve: noPresolve,
-						})
-						if err != nil || !res.Proven {
-							return false
-						}
-						if res.Alloc.Cost != want {
-							return false
-						}
-						if err := m.CheckFeasible(res.Alloc, target); err != nil {
-							return false
-						}
+				for _, noPresolve := range []bool{false, true} {
+					res, err := ILP(m, target, &ILPOptions{
+						Workers: w, DisableLPWarmStart: coldLP, DisablePresolve: noPresolve,
+					})
+					if err != nil || !res.Proven {
+						return false
+					}
+					if res.Alloc.Cost != want {
+						return false
+					}
+					if err := m.CheckFeasible(res.Alloc, target); err != nil {
+						return false
+					}
+					if noPresolve {
+						kernels[res.LPKernel] = true
 					}
 				}
 			}
@@ -90,6 +99,9 @@ func TestCrossValILPMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+	if !kernels["dense"] || !kernels["sparse"] {
+		t.Errorf("presolve-off solves ran kernels %v, want both dense and sparse", kernels)
 	}
 }
 
@@ -139,23 +151,20 @@ func TestCrossValBoundedVsRowBoundEncodings(t *testing.T) {
 
 		for _, w := range []int{1, 2, 8} {
 			for _, coldLP := range []bool{false, true} {
-				for _, kernel := range []lp.KernelKind{lp.KernelDense, lp.KernelSparse} {
-					opts := &milp.Options{
-						Workers: w, DisableWarmLP: coldLP, IntegralObjective: true,
-						LP: &lp.Options{Kernel: kernel},
+				opts := &milp.Options{
+					Workers: w, DisableWarmLP: coldLP, IntegralObjective: true,
+				}
+				for name, prob := range map[string]*milp.Problem{"bounded": bounded, "rows": rows} {
+					res, err := milp.Solve(prob, opts)
+					if err != nil {
+						t.Fatalf("seed %d workers %d cold %v %s: %v", seed, w, coldLP, name, err)
 					}
-					for name, prob := range map[string]*milp.Problem{"bounded": bounded, "rows": rows} {
-						res, err := milp.Solve(prob, opts)
-						if err != nil {
-							t.Fatalf("seed %d workers %d cold %v %v %s: %v", seed, w, coldLP, kernel, name, err)
-						}
-						if res.Status != milp.Optimal {
-							t.Fatalf("seed %d workers %d cold %v %v %s: status %v", seed, w, coldLP, kernel, name, res.Status)
-						}
-						if math.Abs(res.Objective-want) > 1e-6 {
-							t.Errorf("seed %d workers %d cold %v %v %s: cost %g, brute force %g",
-								seed, w, coldLP, kernel, name, res.Objective, want)
-						}
+					if res.Status != milp.Optimal {
+						t.Fatalf("seed %d workers %d cold %v %s: status %v", seed, w, coldLP, name, res.Status)
+					}
+					if math.Abs(res.Objective-want) > 1e-6 {
+						t.Errorf("seed %d workers %d cold %v %s (%s kernel): cost %g, brute force %g",
+							seed, w, coldLP, name, res.LPKernel, res.Objective, want)
 					}
 				}
 			}

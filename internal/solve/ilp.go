@@ -44,19 +44,14 @@ type ILPOptions struct {
 	// DisableIntegralPruning switches off integral-objective bound
 	// rounding (ablation).
 	DisableIntegralPruning bool
-	// DisableCuts switches off Gomory root cuts (ablation).
-	DisableCuts bool
 	// DisablePresolve switches off the root presolve pass (bound
-	// tightening, fixing, row/column elimination, coefficient reduction
-	// and the CG rounding cut round it enables — see milp.Options.Presolve).
+	// tightening, fixing, row/column elimination, coefficient reduction —
+	// see milp.Options.Presolve).
 	// Presolve is on by default: it shrinks the tree before the first
 	// pivot runs and the reported cost is identical either way. The
 	// RENTMIN_PRESOLVE environment variable ("0"/"off"/"false"/"no")
 	// disables it process-wide for CI matrix runs and ablation.
 	DisablePresolve bool
-	// CutRounds overrides the default number of Gomory rounds (0 keeps
-	// the default of 4).
-	CutRounds int
 	// DisableStrongBranch falls back to most-fractional branching
 	// (ablation).
 	DisableStrongBranch bool
@@ -70,13 +65,6 @@ type ILPOptions struct {
 	// costs, more simplex pivots). Distinct from WarmStart, which seeds
 	// the incumbent, not the per-node LP solves.
 	DisableLPWarmStart bool
-	// LPKernel selects the simplex pivot kernel for every LP relaxation
-	// (lp.KernelDense, lp.KernelSparse; the zero value lp.KernelAuto
-	// keeps the process default — see lp.SetDefaultKernel and the
-	// RENTMIN_LP_KERNEL environment variable). Both kernels prove the
-	// same optimal costs; they differ only in per-iteration cost on
-	// large sparse instances.
-	LPKernel lp.KernelKind
 	// OnIncumbent, when set, observes every incumbent the search
 	// accepts, with its total rental cost. Calls happen on the search
 	// coordinator goroutine in deterministic order (observability hook;
@@ -96,14 +84,15 @@ type ILPOptions struct {
 type ILPResult struct {
 	Alloc core.Allocation
 	// Proven is true when the allocation is proven optimal.
-	Proven    bool
-	Status    milp.Status
-	Bound     float64 // proven lower bound on the optimal cost
-	Nodes     int
-	Cuts      int // cutting planes added at the root (Gomory + CG rounding)
-	CutRounds int // root cut-generation rounds performed
-	Elapsed   time.Duration
-	Gap       float64
+	Proven bool
+	Status milp.Status
+	Bound  float64 // proven lower bound on the optimal cost
+	Nodes  int
+	// Cuts is always 0: the solver adds no cutting planes. The field is
+	// kept for callers that still read it.
+	Cuts    int
+	Elapsed time.Duration
+	Gap     float64
 	// Presolve counts the root reductions applied (all zero when presolve
 	// is disabled).
 	Presolve milp.PresolveStats
@@ -123,6 +112,11 @@ type ILPResult struct {
 	// RootLPWarm reports whether the root LP actually restored the
 	// caller-supplied RootBasis instead of solving cold.
 	RootLPWarm bool
+	// LPKernel names the simplex kernel ("dense" or "sparse") that solved
+	// the search's LP relaxations, picked by package lp from the row
+	// count of the LP the search ran (after presolve). Empty when no LP
+	// ran.
+	LPKernel string
 }
 
 // BuildMILP encodes Definition 1 with shared task types as the MIP of
@@ -240,21 +234,12 @@ func ILPContext(ctx context.Context, m *core.CostModel, target int, opts *ILPOpt
 		Workers:           opts.Workers,
 		DisableWarmLP:     opts.DisableLPWarmStart,
 	}
-	if opts.LPKernel != lp.KernelAuto {
-		mopts.LP = &lp.Options{Kernel: opts.LPKernel}
-	}
 	if cb := opts.OnIncumbent; cb != nil {
 		mopts.OnIncumbent = func(obj float64, _ []float64) { cb(obj) }
 	}
 	mopts.OnRound = opts.OnRound
 	if !opts.DisableStrongBranch {
 		mopts.StrongBranch = 8
-	}
-	if !opts.DisableCuts {
-		mopts.RootCutRounds = 4
-		if opts.CutRounds > 0 {
-			mopts.RootCutRounds = opts.CutRounds
-		}
 	}
 	if !opts.DisableRounding {
 		mopts.Rounder = RoundingRepair(m, target)
@@ -280,8 +265,6 @@ func ILPContext(ctx context.Context, m *core.CostModel, target int, opts *ILPOpt
 		Status:         res.Status,
 		Bound:          res.Bound,
 		Nodes:          res.Nodes,
-		Cuts:           res.Cuts,
-		CutRounds:      res.CutRounds,
 		Presolve:       res.Presolve,
 		Elapsed:        res.Elapsed,
 		Gap:            res.Gap,
@@ -292,6 +275,7 @@ func ILPContext(ctx context.Context, m *core.CostModel, target int, opts *ILPOpt
 		WastedLPSolves: res.WastedLPSolves,
 		RootBasis:      res.RootBasis,
 		RootLPWarm:     res.RootLPWarm,
+		LPKernel:       res.LPKernel,
 	}
 	if res.Status == milp.Optimal || res.Status == milp.Feasible {
 		rho := make([]int, m.J)

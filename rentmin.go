@@ -61,7 +61,6 @@ import (
 	"rentmin/internal/core"
 	"rentmin/internal/graphgen"
 	"rentmin/internal/heuristics"
-	"rentmin/internal/lp"
 	"rentmin/internal/milp"
 	"rentmin/internal/obs"
 	"rentmin/internal/pool"
@@ -152,23 +151,12 @@ type SolveOptions struct {
 	// cold from scratch). The optimal cost is identical either way; the
 	// toggle exists for ablation and for diagnosing numerical trouble.
 	DisableLPWarmStart bool
-	// DisablePresolve switches off the root presolve pass and the CG
-	// rounding cuts it enables (bound tightening, variable fixing,
-	// row/column elimination, coefficient reduction before branch and
-	// bound). Presolve is on by default and the optimal cost is identical
+	// DisablePresolve switches off the root presolve pass (bound
+	// tightening, variable fixing, row/column elimination, coefficient
+	// reduction before branch and bound). Presolve is on by default and the optimal cost is identical
 	// either way; the toggle exists for ablation and CI matrix runs (the
 	// RENTMIN_PRESOLVE environment variable disables it process-wide).
 	DisablePresolve bool
-	// LPKernel selects the simplex pivot kernel used for every LP
-	// relaxation: "dense" (tableau), "sparse" (revised simplex with a
-	// factorized basis), or "" / "auto" (the process default, settable
-	// via the RENTMIN_LP_KERNEL environment variable and defaulting to
-	// dense). Both kernels prove the same optimal costs. An unknown name
-	// is reported as an error by Solve. The choice is per-process: a
-	// remote SolverPool does not forward it over the wire — remote
-	// workers pick their kernel with rentmind's -lp-kernel flag (or
-	// their own environment).
-	LPKernel string
 	// OnIncumbent, when set, observes every incumbent the search accepts
 	// with its total rental cost, in deterministic order on the search
 	// coordinator goroutine. Observability hook (the solve flight
@@ -238,21 +226,19 @@ type Solution struct {
 	// a sibling's incumbent. Always zero for Workers == 1; the ratio
 	// WastedLPSolves/LPSolves is the speculation waste of parallelism.
 	WastedLPSolves int
-	// Cuts counts cutting planes added at the root (Gomory fractional
-	// plus CG rounding), over CutRounds generation rounds. Both are
-	// deterministic for a fixed problem: cut generation runs on the
-	// coordinator before the parallel search starts.
-	Cuts      int
-	CutRounds int
+	// Cuts is always 0: the solver adds no cutting planes. The field is
+	// kept for callers that still read it.
+	Cuts int
 	// Presolve counts the root presolve reductions (all zero when
 	// DisablePresolve is set).
 	Presolve PresolveStats
 	// Elapsed is the solver wall-clock time.
 	Elapsed time.Duration
 	// LPKernel names the simplex kernel that solved the relaxations
-	// ("dense" or "sparse"), after resolving "auto" through the process
-	// default and environment. Empty for solutions produced by daemons
-	// predating this field.
+	// ("dense" or "sparse"): the LP solver runs the dense tableau on LPs
+	// of at most 12 constraint rows and the sparse revised simplex on
+	// larger ones. Empty when no LP ran (presolve settled the solve) and
+	// for solutions from daemons predating this field.
 	LPKernel string
 	// Worker is the endpoint of the remote worker that produced this
 	// solution when it was dispatched through a remote SolverPool; ""
@@ -279,19 +265,12 @@ func SolveContext(ctx context.Context, p *Problem, opts *SolveOptions) (Solution
 	}
 	m := core.NewCostModel(p)
 	var iopts solve.ILPOptions
-	kernel := lp.KernelAuto
 	if opts != nil {
 		iopts.TimeLimit = opts.TimeLimit
 		iopts.WarmStart = opts.WarmStart
 		iopts.Workers = opts.Workers
 		iopts.DisableLPWarmStart = opts.DisableLPWarmStart
 		iopts.DisablePresolve = opts.DisablePresolve
-		var err error
-		kernel, err = lp.ParseKernel(opts.LPKernel)
-		if err != nil {
-			return Solution{}, fmt.Errorf("rentmin: %w", err)
-		}
-		iopts.LPKernel = kernel
 		iopts.OnIncumbent = opts.OnIncumbent
 		if cb := opts.OnRound; cb != nil {
 			iopts.OnRound = func(ri milp.RoundInfo) { cb(RoundInfo(ri)) }
@@ -320,10 +299,9 @@ func SolveContext(ctx context.Context, p *Problem, opts *SolveOptions) (Solution
 		WarmLPSolves:   res.WarmLPSolves,
 		WastedLPSolves: res.WastedLPSolves,
 		Cuts:           res.Cuts,
-		CutRounds:      res.CutRounds,
 		Presolve:       PresolveStats(res.Presolve),
 		Elapsed:        res.Elapsed,
-		LPKernel:       lp.EffectiveKernel(kernel).String(),
+		LPKernel:       res.LPKernel,
 	}, nil
 }
 
@@ -427,7 +405,6 @@ func (p *SolverPool) SolveBatchContext(ctx context.Context, problems []*Problem,
 		each.TimeLimit = opts.TimeLimit
 		each.DisableLPWarmStart = opts.DisableLPWarmStart
 		each.DisablePresolve = opts.DisablePresolve
-		each.LPKernel = opts.LPKernel
 	}
 	out := make([]Solution, len(problems))
 	err := p.pool.RunContext(ctx, len(problems), func(ctx context.Context, i int) error {

@@ -2,10 +2,8 @@ package rentmin
 
 import (
 	"context"
-	"fmt"
 	"time"
 
-	"rentmin/internal/lp"
 	"rentmin/internal/session"
 )
 
@@ -57,9 +55,6 @@ type SessionOptions struct {
 	// Workers sets branch-and-bound parallelism per re-solve (0 =
 	// GOMAXPROCS, 1 = sequential).
 	Workers int
-	// LPKernel selects the simplex kernel ("dense", "sparse", ""/"auto");
-	// same contract as SolveOptions.LPKernel.
-	LPKernel string
 	// DisablePresolve switches off the root presolve pass.
 	DisablePresolve bool
 	// DisableWarm forces every re-solve cold: no incumbent seeding from
@@ -79,14 +74,9 @@ type Session struct {
 func NewSession(ctx context.Context, p *Problem, opts *SessionOptions) (*Session, *SessionResolve, error) {
 	var sopts session.Options
 	if opts != nil {
-		kernel, err := lp.ParseKernel(opts.LPKernel)
-		if err != nil {
-			return nil, nil, fmt.Errorf("rentmin: %w", err)
-		}
 		sopts = session.Options{
 			TimeLimit:       opts.TimeLimit,
 			Workers:         opts.Workers,
-			LPKernel:        kernel,
 			DisablePresolve: opts.DisablePresolve,
 			DisableWarm:     opts.DisableWarm,
 		}
