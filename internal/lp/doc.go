@@ -30,10 +30,10 @@
 //     instead of m×n, which wins once the LP has more rows (many recipe
 //     graphs over many machine types).
 //
-// No option selects a kernel. Solve and SolveFrom apply one measured
-// rule: the dense tableau for an LP with at most 12 constraint rows, the
-// sparse kernel for anything larger (see denseMaxRows for the sweep
-// behind the threshold). Solution.Kernel reports which kernel ran.
+// No option selects a kernel. NewModel (and so Solve and SolveFrom)
+// applies one measured rule: the dense tableau for an LP with at most 12
+// constraint rows, the sparse kernel for anything larger (see
+// denseMaxRows for the sweep behind the threshold). Solution.Kernel reports which kernel ran.
 // Status values map to typed sentinel errors (ErrInfeasible,
 // ErrUnbounded, ErrIterLimit) via Status.Err, so callers can errors.Is
 // against outcomes that cross API layers.
@@ -99,10 +99,37 @@
 // reduced costs depend on the basis and the cost vector, never on b, lo
 // or hi. Dual-simplex pivots repair primal feasibility, a short primal
 // polish cleans roundoff, and the result is verified (bounds and dual
-// feasibility) before being reported. Any rejection along the way —
-// nil, mismatched or singular basis, lost dual feasibility, an
+// feasibility; on the sparse kernel also the row residuals A·x + s − b
+// and the basic reduced costs, recomputed from the model's columns and
+// the original objective) before being reported. Any rejection along
+// the way — nil, mismatched or singular basis, lost dual feasibility, an
 // iteration cap, a failed final verification — falls back transparently
 // to the cold two-phase Solve, with the rejected attempt's pivots still
 // counted in Solution.Iterations so warm-vs-cold comparisons stay
 // honest.
+//
+// # Models: what a solve costs
+//
+// NewModel validates a problem's objective and rows once and, for the
+// sparse kernel, builds the CSC of [A | I] once; Model.SolveFrom then
+// solves under any variable bounds, validating only those. Solve and
+// SolveFrom are NewModel plus one model solve. A model is read-only and
+// shared freely across goroutines; each solve allocates its own working
+// state. Through a shared model, a node LP of branch and bound costs:
+//
+//   - O(n) to check its bounds and O(n+m) to set up its working arrays
+//     (the dense kernel instead builds its m×n tableau);
+//   - one refactorization of the restored basis — or none: the first
+//     sparse restore of a *FactorizedBasis onto a model stores its
+//     factorization on the snapshot, keyed by the model and the pivot
+//     threshold, and every later restore of that snapshot onto that
+//     model shares it read-only (copy on write: a refactorization past
+//     the eta limit or on a tiny pivot builds private arrays). A
+//     restore onto another model misses the key and refactorizes;
+//   - its pivots, plus an O(nnz) residual check at the warm exit.
+//
+// Results are bit-identical whether a restore shares a factorization or
+// computes it. A parent's live eta file is deliberately not handed to
+// its children: after update etas it differs in roundoff from a fresh
+// factorization, which would change pivots and therefore trees.
 package lp

@@ -61,20 +61,26 @@ type basisFactor struct {
 	updates  []eta
 	pivoted  []bool    // refactorize scratch
 	work     []float64 // refactorize scratch
+	// borrowed marks base and rowOfPos as shared with a snapshot's
+	// restore memo (see FactorizedBasis): read-only, so the next
+	// refactorize or identity replaces them instead of writing into them.
+	borrowed bool
 }
 
+// newBasisFactor returns an empty factor for m rows; identity,
+// refactorize or borrow installs its first factorization.
 func newBasisFactor(m int) *basisFactor {
 	return &basisFactor{
-		m:        m,
-		rowOfPos: make([]int32, m),
-		pivoted:  make([]bool, m),
-		work:     make([]float64, m),
+		m:       m,
+		pivoted: make([]bool, m),
+		work:    make([]float64, m),
 	}
 }
 
 // identity resets the factorization to B = I with the natural row order
 // (the all-slack starting basis: every slack column is a unit column).
 func (f *basisFactor) identity() {
+	f.own()
 	f.base = f.base[:0]
 	f.updates = f.updates[:0]
 	for p := range f.rowOfPos {
@@ -88,6 +94,7 @@ func (f *basisFactor) identity() {
 // Gauss–Jordan eta; it fails (returns false) when the largest available
 // pivot falls below minPiv — a singular or numerically unsafe basis.
 func (f *basisFactor) refactorize(sp *sparseSolver, basis []int32, minPiv float64) bool {
+	f.own()
 	f.base = f.base[:0]
 	f.updates = f.updates[:0]
 	clear(f.pivoted)
@@ -117,6 +124,24 @@ func (f *basisFactor) refactorize(sp *sparseSolver, basis []int32, minPiv float6
 		f.pivoted[r] = true
 	}
 	return true
+}
+
+// own gives the factor private base and rowOfPos arrays before it
+// rewrites them (copy on write: borrowed arrays are never reused).
+func (f *basisFactor) own() {
+	if f.borrowed || f.base == nil {
+		f.base = make([]eta, 0, f.m)
+		f.rowOfPos = make([]int32, f.m)
+		f.borrowed = false
+	}
+}
+
+// borrow installs a shared refactorization (base etas and row order) with
+// an empty update file; the factor treats both arrays as read-only.
+func (f *basisFactor) borrow(base []eta, rowOfPos []int32) {
+	f.base, f.rowOfPos = base, rowOfPos
+	f.updates = f.updates[:0]
+	f.borrowed = true
 }
 
 // makeEta captures the off-pivot nonzeros of w into an eta with pivot

@@ -118,9 +118,10 @@ type BasisSnapshot interface {
 }
 
 // Solve minimizes the problem, on the dense tableau when it has at most
-// denseMaxRows constraint rows and on the sparse kernel otherwise.
+// denseMaxRows constraint rows and on the sparse kernel otherwise. It is
+// NewModel(p) plus one model solve under p's bounds.
 func Solve(p *Problem, opts *Options) (Solution, error) {
-	return solveKernel(p, nil, opts, kernelFor(len(p.Constraints)))
+	return SolveFrom(p, nil, opts)
 }
 
 // SolveFrom re-optimizes p starting from a basis snapshotted on a related
@@ -133,6 +134,8 @@ func Solve(p *Problem, opts *Options) (Solution, error) {
 // transparently to the cold two-phase Solve; Solution.Warm reports which
 // path produced the result, and the pivots a rejected warm attempt spent
 // are folded into Iterations so warm-vs-cold comparisons stay honest.
+// Repeated solves over the same objective and rows should build one
+// Model and call Model.SolveFrom instead.
 func SolveFrom(p *Problem, b BasisSnapshot, opts *Options) (Solution, error) {
 	return solveKernel(p, b, opts, kernelFor(len(p.Constraints)))
 }
@@ -140,40 +143,11 @@ func SolveFrom(p *Problem, b BasisSnapshot, opts *Options) (Solution, error) {
 // solveKernel is SolveFrom (Solve when b is nil) on kernel k; tests call
 // it to force each kernel.
 func solveKernel(p *Problem, b BasisSnapshot, opts *Options, k Kernel) (Solution, error) {
-	if err := p.Validate(); err != nil {
+	md, err := newModel(p, k)
+	if err != nil {
 		return Solution{}, err
 	}
-	wasted := 0
-	if b != nil {
-		rows, flips, n := b.data()
-		if n == p.NumVars() && len(rows) <= len(p.Constraints) {
-			var sol Solution
-			var ok bool
-			if k == KernelSparse {
-				sp := newSparse(p, opts)
-				sol, ok = sp.solveFrom(rows, flips)
-				wasted = sp.pivots
-			} else {
-				t := newTableau(p, opts)
-				sol, ok = t.solveFrom(p, rows, flips)
-				wasted = t.pivots // restore/dual pivots spent before the rejection
-			}
-			if ok {
-				sol.Kernel = k
-				return sol, nil
-			}
-		}
-	}
-	var sol Solution
-	var err error
-	if k == KernelSparse {
-		sol, err = newSparse(p, opts).solve()
-	} else {
-		sol, err = newTableau(p, opts).solve(p)
-	}
-	sol.Kernel = k
-	sol.Iterations += wasted
-	return sol, err
+	return md.SolveFrom(p.Lo, p.Hi, b, opts)
 }
 
 // snapOrNil converts a possibly-nil *Basis into a BasisSnapshot without

@@ -294,10 +294,11 @@ func TestCrossKernelWarmStart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := solveKernel(child, parent.Basis, nil, to)
+			md, err := newModel(child, to)
 			if err != nil {
-				t.Fatalf("%v->%v SolveFrom: %v", from, to, err)
+				t.Fatal(err)
 			}
+			warm := restoreTwice(t, md, child.Lo, child.Hi, parent.Basis)
 			if warm.Status != Optimal {
 				t.Fatalf("%v->%v status = %v", from, to, warm.Status)
 			}
@@ -337,10 +338,11 @@ func TestCrossKernelWarmStartAppendedRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := solveKernel(child, parent.Basis, nil, to)
+			md, err := newModel(child, to)
 			if err != nil {
-				t.Fatalf("%v->%v SolveFrom: %v", from, to, err)
+				t.Fatal(err)
 			}
+			warm := restoreTwice(t, md, child.Lo, child.Hi, parent.Basis)
 			if warm.Status != Optimal || math.Abs(warm.Objective-cold.Objective) > 1e-6 {
 				t.Fatalf("%v->%v: %v obj %g, cold %g", from, to, warm.Status, warm.Objective, cold.Objective)
 			}

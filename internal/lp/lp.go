@@ -111,34 +111,64 @@ func (p *Problem) DefaultBounds() bool {
 
 // Validate checks dimensional consistency, finiteness and bound order.
 func (p *Problem) Validate() error {
-	n := p.NumVars()
-	if n == 0 {
+	if err := validateObjective(p.Objective); err != nil {
+		return err
+	}
+	if err := validateBounds(p.Lo, p.Hi, p.NumVars()); err != nil {
+		return err
+	}
+	return validateRows(p.Constraints, p.NumVars())
+}
+
+// validateObjective checks that there is at least one variable and that
+// every cost is finite.
+func validateObjective(obj []float64) error {
+	if len(obj) == 0 {
 		return errors.New("lp: no variables")
 	}
-	for _, v := range p.Objective {
+	for _, v := range obj {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return errors.New("lp: non-finite objective coefficient")
 		}
 	}
-	if p.Lo != nil && len(p.Lo) != n {
-		return fmt.Errorf("lp: %d lower bounds for %d variables", len(p.Lo), n)
+	return nil
+}
+
+// validateBounds checks per-variable bounds in Problem.Lo/Hi form (either
+// slice nil or of length n): finite lower bounds, upper bounds that are
+// not NaN or -inf, and lo <= hi.
+func validateBounds(lo, hi []float64, n int) error {
+	if lo != nil && len(lo) != n {
+		return fmt.Errorf("lp: %d lower bounds for %d variables", len(lo), n)
 	}
-	if p.Hi != nil && len(p.Hi) != n {
-		return fmt.Errorf("lp: %d upper bounds for %d variables", len(p.Hi), n)
+	if hi != nil && len(hi) != n {
+		return fmt.Errorf("lp: %d upper bounds for %d variables", len(hi), n)
 	}
 	for j := 0; j < n; j++ {
-		lo, hi := p.LowerBound(j), p.UpperBound(j)
-		if math.IsNaN(lo) || math.IsInf(lo, 0) {
-			return fmt.Errorf("lp: variable %d has non-finite lower bound %g", j, lo)
+		l, h := 0.0, math.Inf(1)
+		if lo != nil {
+			l = lo[j]
 		}
-		if math.IsNaN(hi) || math.IsInf(hi, -1) {
-			return fmt.Errorf("lp: variable %d has invalid upper bound %g", j, hi)
+		if hi != nil {
+			h = hi[j]
 		}
-		if lo > hi {
-			return fmt.Errorf("lp: variable %d has crossed bounds [%g, %g]", j, lo, hi)
+		if math.IsNaN(l) || math.IsInf(l, 0) {
+			return fmt.Errorf("lp: variable %d has non-finite lower bound %g", j, l)
+		}
+		if math.IsNaN(h) || math.IsInf(h, -1) {
+			return fmt.Errorf("lp: variable %d has invalid upper bound %g", j, h)
+		}
+		if l > h {
+			return fmt.Errorf("lp: variable %d has crossed bounds [%g, %g]", j, l, h)
 		}
 	}
-	for i, c := range p.Constraints {
+	return nil
+}
+
+// validateRows checks that every row has n finite coefficients and a
+// finite right-hand side.
+func validateRows(rows []Constraint, n int) error {
+	for i, c := range rows {
 		if len(c.Coeffs) != n {
 			return fmt.Errorf("lp: constraint %d has %d coefficients, want %d", i, len(c.Coeffs), n)
 		}

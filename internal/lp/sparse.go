@@ -25,19 +25,20 @@ import "math"
 // exactly when the problem is feasible; the true bounds are then
 // restored in place and the same basis carries into phase 2.
 type sparseSolver struct {
-	p    *Problem
+	md   *Model
 	m, n int // constraint rows, structural variables
 	nTot int // n + m columns (structural + one slack per row)
 
-	// CSC of [A | I].
+	// The model's CSC of [A | I], phase-2 costs per column (structural c,
+	// slacks 0) and right-hand sides: shared, read-only.
 	ptr []int32
 	ind []int32
 	val []float64
+	obj []float64
+	b   []float64
 
-	obj    []float64 // phase-2 cost per column (structural c, slacks 0)
 	cost   []float64 // working cost vector (phase-1 relaxation costs or obj)
 	lo, hi []float64 // working bounds per column (phase 1 edits, then restores)
-	b      []float64 // right-hand sides
 	x      []float64 // current value per column (bound value when nonbasic)
 	status []int8    // spLower, spUpper or spBasic
 	basis  []int32   // column basic at each position
@@ -69,70 +70,6 @@ const (
 	spUpper             // nonbasic at upper bound
 	spBasic
 )
-
-// newSparse builds the solver state for a validated problem.
-func newSparse(p *Problem, opts *Options) *sparseSolver {
-	m := len(p.Constraints)
-	n := p.NumVars()
-	sp := &sparseSolver{
-		p: p, m: m, n: n, nTot: n + m,
-		obj:     make([]float64, n+m),
-		lo:      make([]float64, n+m),
-		hi:      make([]float64, n+m),
-		b:       make([]float64, m),
-		x:       make([]float64, n+m),
-		status:  make([]int8, n+m),
-		basis:   make([]int32, m),
-		f:       newBasisFactor(m),
-		tol:     opts.tol(),
-		maxIter: opts.maxIter(m, n),
-		vrow:    make([]float64, m),
-		wpos:    make([]float64, m),
-		cpos:    make([]float64, m),
-		yrow:    make([]float64, m),
-	}
-	sp.dtol = sqrtTol(sp.tol)
-	copy(sp.obj, p.Objective)
-
-	nnz := m // slack columns
-	for i := range p.Constraints {
-		for _, v := range p.Constraints[i].Coeffs {
-			if v != 0 {
-				nnz++
-			}
-		}
-	}
-	sp.ptr = make([]int32, n+m+1)
-	sp.ind = make([]int32, 0, nnz)
-	sp.val = make([]float64, 0, nnz)
-	for j := 0; j < n; j++ {
-		for i := range p.Constraints {
-			if v := p.Constraints[i].Coeffs[j]; v != 0 {
-				sp.ind = append(sp.ind, int32(i))
-				sp.val = append(sp.val, v)
-			}
-		}
-		sp.ptr[j+1] = int32(len(sp.ind))
-		sp.lo[j] = p.LowerBound(j)
-		sp.hi[j] = p.UpperBound(j)
-	}
-	for i := range p.Constraints {
-		c := &p.Constraints[i]
-		sp.ind = append(sp.ind, int32(i))
-		sp.val = append(sp.val, 1)
-		sp.ptr[n+i+1] = int32(len(sp.ind))
-		sp.b[i] = c.RHS
-		switch c.Rel {
-		case LE:
-			sp.lo[n+i], sp.hi[n+i] = 0, math.Inf(1)
-		case GE:
-			sp.lo[n+i], sp.hi[n+i] = math.Inf(-1), 0
-		case EQ:
-			sp.lo[n+i], sp.hi[n+i] = 0, 0
-		}
-	}
-	return sp
-}
 
 // colDot returns v·a_j over column j's nonzeros (v in original-row space).
 func (sp *sparseSolver) colDot(j int, v []float64) float64 {
@@ -574,7 +511,7 @@ func (sp *sparseSolver) solution(warm bool) Solution {
 		x[j] = v
 	}
 	obj := 0.0
-	for j, c := range sp.p.Objective {
+	for j, c := range sp.md.objective {
 		obj += c * x[j]
 	}
 	// Duals: y solves B^T·y = c_B, read directly in original-row space.
@@ -602,10 +539,16 @@ func (sp *sparseSolver) solution(warm bool) Solution {
 // keeps the snapshot valid across the bound patches and appended rows
 // SolveFrom supports. The encoding matches the dense *Basis exactly, so
 // either kernel restores the other's snapshots.
+//
+// The first restore onto a sparse Model stores its refactorization on
+// the snapshot (see restoreMemo); later restores onto the same Model
+// share it. A snapshot is therefore safe for concurrent restores but must
+// not be copied.
 type FactorizedBasis struct {
 	rows  []int32
 	flips []int32
 	n     int
+	memo  restoreMemo
 }
 
 // Rows returns the number of constraint rows the snapshot covers.

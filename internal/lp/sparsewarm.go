@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Warm-started re-optimization for the sparse kernel.
 //
@@ -12,29 +15,97 @@ import "math"
 // matrices are column-equivalent). The restored basis is dual feasible
 // for a bounds-only change, so dual-simplex pivots repair primal
 // feasibility; anything off-script — a singular restored basis, a stale
-// snapshot with materially negative reduced costs, an iteration-limit —
-// reports ok == false and the caller falls back to a cold solve.
+// snapshot with materially negative reduced costs, an iteration-limit, a
+// final point whose residuals fail a from-scratch check — reports
+// ok == false and the caller falls back to a cold solve.
+//
+// The refactorization depends only on the restored basis columns, the
+// model's matrix and the pivot threshold — never on bounds or right-hand
+// sides — so the up to 2·StrongBranch children of a branch-and-bound
+// node, which restore one parent snapshot onto one model, would each
+// compute the same factor. restoreMemo computes it once per (snapshot,
+// model, threshold) and shares it. A live eta file is never handed over
+// instead: after update etas it differs in roundoff from a fresh
+// factorization, and children would drift from the trees a fresh restore
+// produces.
 
-// solveFrom restores a decoded snapshot (BasisSnapshot.data encoding)
-// and re-optimizes; ok == false means the caller must solve cold.
-func (sp *sparseSolver) solveFrom(rows, flips []int32) (Solution, bool) {
+// restoreMemo is the refactorization a FactorizedBasis restores to on
+// one model: the base etas and row order of the first restore, keyed by
+// the model and the pivot threshold (dtol) it was computed under. The
+// mutex makes concurrent sibling restores compute it once; a restore
+// under another key (a different model — a session's root basis, or rows
+// appended — or another tolerance) misses and refactorizes privately.
+type restoreMemo struct {
+	mu       sync.Mutex
+	md       *Model
+	dtol     float64
+	ok       bool // the restored basis factored (false: numerically singular)
+	base     []eta
+	rowOfPos []int32
+}
+
+// restoreFactor factors the restored basis sp.basis, through the
+// snapshot's memo when b is a *FactorizedBasis. It reports false on a
+// numerically singular basis.
+func (sp *sparseSolver) restoreFactor(b BasisSnapshot) bool {
+	fb, _ := b.(*FactorizedBasis)
+	if fb == nil {
+		return sp.f.refactorize(sp, sp.basis, sp.dtol)
+	}
+	mm := &fb.memo
+	mm.mu.Lock()
+	switch {
+	case mm.md == nil:
+		mm.md, mm.dtol = sp.md, sp.dtol
+		mm.ok = sp.f.refactorize(sp, sp.basis, sp.dtol)
+		if mm.ok {
+			mm.base, mm.rowOfPos = sp.f.base, sp.f.rowOfPos
+			sp.f.borrowed = true
+		}
+	case mm.md == sp.md && mm.dtol == sp.dtol:
+		if mm.ok {
+			sp.f.borrow(mm.base, mm.rowOfPos)
+		}
+	default:
+		mm.mu.Unlock()
+		return sp.f.refactorize(sp, sp.basis, sp.dtol)
+	}
+	ok := mm.ok
+	mm.mu.Unlock()
+	return ok
+}
+
+// solveFrom restores snapshot b (decoded as rows and flips, the
+// BasisSnapshot.data encoding) and re-optimizes; ok == false means the
+// caller must solve cold.
+func (sp *sparseSolver) solveFrom(b BasisSnapshot, rows, flips []int32) (Solution, bool) {
+	if !sp.restore(b, rows, flips) {
+		return Solution{}, false
+	}
+	return sp.reoptimize()
+}
+
+// restore installs the snapshot's basis, nonbasic resting bounds and
+// factorization; false rejects the snapshot (a malformed encoding, a
+// flip onto a removed upper bound, or a singular basis).
+func (sp *sparseSolver) restore(b BasisSnapshot, rows, flips []int32) bool {
 	inBasis := make([]bool, sp.nTot)
 	for p, enc := range rows {
 		var col int32
 		if enc >= 0 {
 			if int(enc) >= sp.n {
-				return Solution{}, false
+				return false
 			}
 			col = enc
 		} else {
 			r := ^enc
 			if int(r) >= sp.m {
-				return Solution{}, false
+				return false
 			}
 			col = int32(sp.n) + r
 		}
 		if inBasis[col] {
-			return Solution{}, false
+			return false
 		}
 		inBasis[col] = true
 		sp.basis[p] = col
@@ -43,7 +114,7 @@ func (sp *sparseSolver) solveFrom(rows, flips []int32) (Solution, bool) {
 	for p := len(rows); p < sp.m; p++ {
 		col := int32(sp.n + p)
 		if inBasis[col] {
-			return Solution{}, false
+			return false
 		}
 		inBasis[col] = true
 		sp.basis[p] = col
@@ -71,20 +142,23 @@ func (sp *sparseSolver) solveFrom(rows, flips []int32) (Solution, bool) {
 	for _, enc := range flips {
 		j := int(enc)
 		if j < 0 || j >= sp.n {
-			return Solution{}, false
+			return false
 		}
 		if sp.status[j] == spBasic {
 			continue
 		}
 		if math.IsInf(sp.hi[j], 1) {
-			return Solution{}, false
+			return false
 		}
 		sp.status[j], sp.x[j] = spUpper, sp.hi[j]
 	}
 
-	if !sp.f.refactorize(sp, sp.basis, sp.dtol) {
-		return Solution{}, false
-	}
+	return sp.restoreFactor(b)
+}
+
+// reoptimize runs the warm path on the restored, factored basis: dual
+// pivots to primal feasibility, a primal polish, and the final checks.
+func (sp *sparseSolver) reoptimize() (Solution, bool) {
 	sp.computeXB()
 	sp.cost = sp.obj
 	// The restored basis must still be dual feasible (up to roundoff); a
@@ -103,10 +177,44 @@ func (sp *sparseSolver) solveFrom(rows, flips []int32) (Solution, bool) {
 		return Solution{}, false
 	}
 	// Trust but verify before reporting optimality through the warm path.
-	if !sp.withinBounds(sp.dtol) || !sp.dualFeasible(sp.dtol) {
+	if !sp.withinBounds(sp.dtol) || !sp.dualFeasible(sp.dtol) || !sp.residualsWithin(sp.dtol) {
 		return Solution{}, false
 	}
 	return sp.solution(true), true
+}
+
+// residualsWithin recomputes the final point's residuals from the
+// model's column store, independently of the eta file: the row residuals
+// A·x + s − b, each within slack·(1+|b_i|), and the basic reduced costs
+// c_j − y·a_j against the original objective, each within
+// slack·(1+|c_j|). It reads the duals y of the true objective that
+// dualFeasible leaves in yrow. O(nnz).
+func (sp *sparseSolver) residualsWithin(slack float64) bool {
+	r := sp.vrow
+	for i, v := range sp.b {
+		r[i] = -v
+	}
+	for j := 0; j < sp.nTot; j++ {
+		xj := sp.x[j]
+		if xj == 0 {
+			continue
+		}
+		for k := sp.ptr[j]; k < sp.ptr[j+1]; k++ {
+			r[sp.ind[k]] += sp.val[k] * xj
+		}
+	}
+	for i, v := range r {
+		if math.Abs(v) > slack*(1+math.Abs(sp.b[i])) {
+			return false
+		}
+	}
+	for p := 0; p < sp.m; p++ {
+		c := int(sp.basis[p])
+		if math.Abs(sp.obj[c]-sp.colDot(c, sp.yrow)) > slack*(1+math.Abs(sp.obj[c])) {
+			return false
+		}
+	}
+	return true
 }
 
 // dualFeasible reports whether every nonbasic reduced cost points into

@@ -20,11 +20,19 @@ import (
 // independently (1 bit each, overriding the row-count rule), so the fuzzer also drives every
 // cross-kernel snapshot/restore combination through the neutral basis
 // encoding.
+//
+// Every child is restored through one model several times and the
+// results must agree bit for bit: from a fresh copy of the snapshot, then
+// twice from the snapshot itself (a restore-memo miss, then a hit), and
+// once from a copy whose memo the parent's own model filled first (a miss
+// on another model).
 func FuzzSolveFrom(f *testing.F) {
 	f.Add(uint64(1), uint8(0), float64(3), uint8(0), uint8(0))
 	f.Add(uint64(7), uint8(2), float64(-2), uint8(1), uint8(1))
 	f.Add(uint64(42), uint8(9), float64(0.5), uint8(2), uint8(2))
 	f.Add(uint64(0xBEEF), uint8(255), float64(1e6), uint8(3), uint8(3))
+	f.Add(uint64(9), uint8(4), float64(-1.5), uint8(1), uint8(3))
+	f.Add(uint64(3), uint8(1), float64(2), uint8(2), uint8(3))
 	f.Fuzz(func(t *testing.T, seed uint64, pick uint8, delta float64, mode uint8, kernels uint8) {
 		if math.IsNaN(delta) || math.IsInf(delta, 0) {
 			return
@@ -67,10 +75,24 @@ func FuzzSolveFrom(f *testing.F) {
 			q.SetBounds(j, lo, hi)
 		}
 
-		warm, err := solveKernel(q, parent.Basis, nil, to)
+		md, err := newModel(q, to)
+		if err != nil {
+			t.Fatalf("newModel: %v", err)
+		}
+		warm := restoreTwice(t, md, q.Lo, q.Hi, parent.Basis)
+		pm, err := newModel(p, to)
+		if err != nil {
+			t.Fatalf("newModel: %v", err)
+		}
+		other := freshSnapshot(parent.Basis)
+		if _, err := pm.SolveFrom(p.Lo, p.Hi, other, nil); err != nil {
+			t.Fatalf("parent round trip: %v", err)
+		}
+		cross, err := md.SolveFrom(q.Lo, q.Hi, other, nil)
 		if err != nil {
 			t.Fatalf("SolveFrom: %v", err)
 		}
+		requireIdentical(t, "restore after another model's", warm, cross)
 		cold, err := solveKernel(q, nil, nil, to)
 		if err != nil {
 			t.Fatalf("cold Solve: %v", err)

@@ -18,13 +18,18 @@
 //     parent's with one variable bound tightened (lp.Problem.Lo/Hi — the
 //     bound lives in the simplex ratio test, never as a constraint row, so
 //     the tableau stays m×n for the whole tree), and it re-optimizes from
-//     the parent's optimal basis via lp.SolveFrom — most of the per-node
-//     simplex work disappears on deep trees, with a transparent cold-solve
-//     fallback whenever a restore is rejected (see Options.DisableWarmLP
-//     to switch the path off). The basis travels as an opaque
-//     lp.BasisSnapshot, so the search never touches simplex internals and
-//     works unchanged over either LP pivot kernel (package lp picks one
-//     from the LP's row count; Result.LPKernel reports it);
+//     the parent's optimal basis — most of the per-node simplex work
+//     disappears on deep trees, with a transparent cold-solve fallback
+//     whenever a restore is rejected (see Options.DisableWarmLP to switch
+//     the path off). The search builds its LP once, after presolve, as
+//     an lp.Model and solves every node through it with the node's
+//     bounds (lp.Model.SolveFrom): rows are validated and stored once,
+//     and the children of a node share one factorization of the
+//     parent's basis (the snapshot's restore memo, see package lp). The
+//     basis travels as an opaque lp.BasisSnapshot, so the search never
+//     touches simplex internals and works unchanged over either LP pivot
+//     kernel (package lp picks one from the LP's row count;
+//     Result.LPKernel reports it);
 //   - parallel search: the best-bound frontier is expanded in rounds of
 //     up to Options.Workers nodes, and every child LP relaxation of the
 //     round — including all strong-branching candidates — solves
@@ -158,8 +163,8 @@ type Options struct {
 	// snapshot taken by an earlier solve of a similar problem (online
 	// re-optimization: a session hands the previous solve's Result.RootBasis
 	// back in after mutating the problem). A snapshot that no longer fits
-	// falls back to a cold solve transparently inside lp.SolveFrom.
-	// Ignored under DisableWarmLP.
+	// falls back to a cold solve transparently inside
+	// lp.Model.SolveFrom. Ignored under DisableWarmLP.
 	RootBasis lp.BasisSnapshot
 	// OnIncumbent, when set, is invoked every time the search accepts a
 	// new incumbent, with its objective and point (the slice must not be
@@ -242,7 +247,7 @@ type Result struct {
 	// was infeasible/unbounded). The snapshot belongs to the problem the
 	// tree actually searched — under presolve, the reduced problem — so a
 	// restore onto a different shape simply falls back cold inside
-	// lp.SolveFrom.
+	// lp.Model.SolveFrom.
 	RootBasis lp.BasisSnapshot
 	// RootLPWarm reports whether the root relaxation really restored the
 	// caller-supplied Options.RootBasis (false when it solved cold or the
@@ -335,6 +340,11 @@ type solver struct {
 	hasBest  bool
 	bestBits atomic.Uint64
 
+	// model is the search's LP (objective and rows of work.LP), built
+	// once after presolve; every node LP solves through it with the
+	// node's bounds. Read-only, shared by the pool workers.
+	model *lp.Model
+
 	// Worker pool for parallel node expansion (nil when Workers == 1).
 	pool *pool.LocalPool
 
@@ -383,6 +393,11 @@ func (s *solver) run() (Result, error) {
 			return res, nil
 		}
 	}
+	model, err := lp.NewModel(&s.work.LP)
+	if err != nil {
+		return Result{}, err
+	}
+	s.model = model
 	root := &node{prob: &s.work.LP}
 	var rootSeed lp.BasisSnapshot
 	if s.opts != nil {
@@ -666,15 +681,16 @@ func (s *solver) pruned(bound float64) bool {
 	return bound >= s.bestObj-1e-9
 }
 
-// solveRelax solves the LP relaxation of a node and stores bound/solution.
-// With a basis in hand (and warm starts enabled) it re-optimizes via the
-// dual simplex, falling back to a cold solve transparently inside
-// lp.SolveFrom; with basis == nil (an unseeded root) it solves cold.
+// solveRelax solves the LP relaxation of a node through the search's
+// model under the node's bounds and stores bound/solution. With a basis
+// in hand (and warm starts enabled) it re-optimizes via the dual simplex,
+// falling back to a cold solve transparently inside Model.SolveFrom; with
+// basis == nil (an unseeded root) it solves cold.
 func (s *solver) solveRelax(n *node, basis lp.BasisSnapshot) (lp.Status, error) {
 	if s.opts != nil && s.opts.DisableWarmLP {
 		basis = nil
 	}
-	sol, err := lp.SolveFrom(n.prob, basis, nil)
+	sol, err := s.model.SolveFrom(n.prob.Lo, n.prob.Hi, basis, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -26,12 +26,20 @@
 // the live incumbent before accepting it.
 //
 // Warm starts keep these properties: a child LP solve is a pure function
-// of (parent node, branch variable, direction) — the parent's problem,
-// bound patches and optimal basis are all frozen once the parent is
-// solved and only read afterwards, and every lp.SolveFrom builds its own
-// tableau arena, so workers share no mutable simplex state. A given child
-// therefore gets the same relaxation (same pivots, same vertex) whether
-// it is solved eagerly on a pool worker or lazily on the sequential path.
+// of (parent node, branch variable, direction). What the workers share
+// is read-only: the search's lp.Model (objective, rows and the sparse
+// kernel's column store, built once in run), the parent's bound patches,
+// and the parent's basis snapshot. The one write to shared state is the
+// snapshot's restore memo — the first child to restore the parent's
+// sparse basis stores its factorization on the snapshot under the
+// snapshot's lock, and its siblings borrow it read-only (a sibling that
+// must refactorize builds private arrays). The memo holds exactly the
+// factorization each child would compute for itself, so it changes no
+// result. Every Model.SolveFrom builds its own per-solve state (working
+// bounds, basic values, tableau or eta updates). A given child therefore
+// gets the same relaxation (same pivots, same vertex) whether it is
+// solved eagerly on a pool worker or lazily on the sequential path, and
+// whichever sibling happens to fill the memo.
 //
 // With Workers == 1 no pool is started: prepare and finish run inline and
 // child LPs are solved lazily inside the selection scan, reproducing the
